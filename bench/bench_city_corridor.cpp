@@ -6,11 +6,9 @@
 // non-zero when any check fails.
 //
 // RST_THREADS fans the CBR sweep cells over a TrialPool (0/unset = auto);
-// every reported number and fingerprint is identical at any thread count.
-// RST_PARTITIONS fans each city's per-receiver medium physics across
-// partition domains (unset/1 = serial); fingerprints are identical at any
-// partition count, and the final determinism section proves it by
-// re-running the sweep serially.
+// every reported number and fingerprint is identical at any thread count,
+// and the final determinism section proves it by re-running the sweep on
+// one thread.
 
 #include <chrono>
 #include <cstdio>
@@ -62,9 +60,7 @@ int main(int argc, char** argv) {
   if (buildings_scale < 1) buildings_scale = 1;
 
   const unsigned threads = core::experiment_threads_from_env();
-  const unsigned partitions = core::experiment_partitions_from_env(1);
-  std::printf("[threads: %u] [partitions: %u]\n\n", core::resolve_experiment_threads(threads),
-              partitions);
+  std::printf("[threads: %u]\n\n", core::resolve_experiment_threads(threads));
 
   bool ok = true;
   const auto check = [&](const char* what, bool cond) {
@@ -254,11 +250,10 @@ int main(int argc, char** argv) {
     cs.buildings = false;
     cs.max_rsus = 1;
     cs.obu_cam_interval = sim::SimTime::milliseconds(20);
-    cs.partitions = 1;  // force serial: the sweep above adopted RST_PARTITIONS
     const auto single =
         scenario::run_cbr_sweep(cs, {4, 12, 24, 40, 56}, sim::SimTime::seconds(3), 1);
     std::printf("\n=== Determinism ===\n");
-    check("CBR sweep fingerprint identical at 1 thread/1 partition vs env",
+    check("CBR sweep fingerprint identical at 1 thread vs env",
           scenario::cbr_sweep_fingerprint(single) == sweep_fp);
   }
 

@@ -53,11 +53,6 @@ struct ExperimentSummary {
 /// unparsable.
 [[nodiscard]] unsigned experiment_threads_from_env(unsigned fallback = 0);
 
-/// Partition-count knob for benches and scenarios: reads the RST_PARTITIONS
-/// environment variable; returns `fallback` when unset or unparsable
-/// (1 = serial medium).
-[[nodiscard]] unsigned experiment_partitions_from_env(unsigned fallback = 1);
-
 /// Renders a Table II-style report (paper rows vs measured) to a string.
 [[nodiscard]] std::string format_table2(const ExperimentSummary& summary, int max_rows = 5);
 

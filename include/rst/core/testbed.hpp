@@ -22,10 +22,6 @@
 #include "rst/vehicle/motion_planner.hpp"
 #include "rst/vehicle/track.hpp"
 
-namespace rst::sim {
-class PartitionedScheduler;
-}  // namespace rst::sim
-
 namespace rst::core {
 
 /// Which bearer carries the warning from the RSU to the vehicle. ItsG5 is
@@ -117,14 +113,6 @@ struct TestbedConfig {
   bool medium_spatial_index{false};
   /// Link budget (dBm) below which a link is out of range in per-link mode.
   double medium_power_floor_dbm{-110.0};
-  /// Culling/partition grid cell size in metres; 0 derives one hearing
-  /// radius from the power floor. One knob governs both the spatial-index
-  /// query geometry and the cell -> domain mapping of partitioned runs.
-  double medium_grid_cell_m{0.0};
-  /// Medium partition domains (needs medium_spatial_index). 0 adopts the
-  /// RST_PARTITIONS environment variable (unset = serial), 1 forces serial;
-  /// results are bit-identical to serial at any count.
-  int medium_partitions{0};
 
   // --- Wired middleware ---
   middleware::HttpLan::Config lan{};
@@ -242,7 +230,6 @@ class TestbedScenario {
   geo::LocalFrame frame_;
   std::unique_ptr<sim::FaultInjector> faults_;
 
-  std::unique_ptr<sim::PartitionedScheduler> engine_;
   std::unique_ptr<dot11p::Medium> medium_;
   std::unique_ptr<middleware::HttpLan> lan_;
   std::unique_ptr<middleware::MessageBus> vehicle_bus_;

@@ -205,8 +205,6 @@ struct ChannelModel {
   /// default is 15 dB under the default -95 dBm sensitivity (> 5 sigma of
   /// typical shadowing).
   double power_floor_dbm{-110.0};
-  /// Grid cell edge; 0 derives it from the inverted power floor range.
-  double cell_size_m{0.0};
   /// How often the grid re-reads every radio's position (amortised into
   /// begin_transmission, no standing event). Zero means the 100 ms default.
   sim::SimTime reindex_period{};

@@ -37,21 +37,6 @@ class SpatialGrid {
                 static_cast<std::int32_t>(std::floor(p.y / cell_size_m_))};
   }
 
-  /// Deterministic cell -> domain mapping for spatially partitioned
-  /// execution: a pure function of the cell coordinates and the domain
-  /// count, so every process/thread assigns the same domain to the same
-  /// cell. The coordinates are mixed (splitmix64-style) before the
-  /// reduction so regular lattices spread evenly across domains instead
-  /// of striping.
-  [[nodiscard]] static std::uint32_t cell_domain(Cell c, std::uint32_t domains) {
-    if (domains <= 1) return 0;
-    std::uint64_t h = key(c) + 0x9e3779b97f4a7c15ULL;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    h ^= h >> 31;
-    return static_cast<std::uint32_t>(h % domains);
-  }
-
   void insert(std::uint32_t id, Vec2 p) { bin_of(cell_of(p)).push_back(id); }
 
   void remove(std::uint32_t id, Vec2 recorded_p) { erase_from(cell_of(recorded_p), id); }

@@ -46,6 +46,15 @@ struct LongPositionVector {
   friend bool operator==(const LongPositionVector&, const LongPositionVector&) = default;
 };
 
+/// True when GN timestamp `a` is strictly newer than `b` on the ms mod 2^32
+/// time base (EN 302 636-4-1 Annex C): `a` is ahead of `b` by less than half
+/// the range, so a timestamp just past the wrap is newer than one just
+/// before it. Timestamps exactly half a range apart are neither newer.
+[[nodiscard]] constexpr bool gn_timestamp_newer(std::uint32_t a, std::uint32_t b) {
+  const std::uint32_t ahead = a - b;  // mod-2^32 arithmetic
+  return ahead != 0 && ahead < 0x80000000u;
+}
+
 /// GeoNetworking packet (header) types we implement.
 enum class GnPacketType : std::uint8_t {
   Beacon = 0,            ///< position advertisement, no payload

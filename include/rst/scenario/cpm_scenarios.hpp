@@ -34,11 +34,8 @@ struct OccludedPedestrianReport {
   [[nodiscard]] std::uint64_t fingerprint() const;
 };
 
-/// Runs the scenario for 10 simulated seconds. `partitions` forwards to
-/// TestbedConfig::medium_partitions (0 adopts RST_PARTITIONS, 1 serial);
-/// the report is bit-identical at any partition count.
-[[nodiscard]] OccludedPedestrianReport run_occluded_pedestrian(std::uint64_t seed, bool cpm_enable,
-                                                               int partitions = 0);
+/// Runs the scenario for 10 simulated seconds.
+[[nodiscard]] OccludedPedestrianReport run_occluded_pedestrian(std::uint64_t seed, bool cpm_enable);
 
 // --- CPM scenario 2: blind intersection (station-to-station percepts) -------
 

@@ -166,16 +166,6 @@ const std::map<std::string, Entry>& registry() {
           c.medium_power_floor_dbm = parse_double(v, "medium_power_floor_dbm");
         },
         "per-link out-of-range link-budget floor"}},
-      {"medium_grid_cell_m",
-       {[](TestbedConfig& c, const std::string& v) {
-          c.medium_grid_cell_m = parse_double(v, "medium_grid_cell_m");
-        },
-        "culling/partition grid cell size (0 = derive from power floor)"}},
-      {"medium_partitions",
-       {[](TestbedConfig& c, const std::string& v) {
-          c.medium_partitions = static_cast<int>(parse_int(v, "medium_partitions"));
-        },
-        "medium partition domains (0 = RST_PARTITIONS env, 1 = serial)"}},
       {"warning_bearer",
        {[](TestbedConfig& c, const std::string& v) {
           if (v == "its-g5") c.warning_path = WarningPath::ItsG5;

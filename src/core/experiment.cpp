@@ -40,15 +40,6 @@ unsigned experiment_threads_from_env(unsigned fallback) {
   return static_cast<unsigned>(value);
 }
 
-unsigned experiment_partitions_from_env(unsigned fallback) {
-  const char* raw = std::getenv("RST_PARTITIONS");
-  if (raw == nullptr || *raw == '\0') return fallback;
-  char* end = nullptr;
-  const unsigned long value = std::strtoul(raw, &end, 10);
-  if (end == raw || *end != '\0' || value == 0) return fallback;
-  return static_cast<unsigned>(value);
-}
-
 ExperimentSummary run_emergency_brake_experiment(const TestbedConfig& base_config, int n_trials,
                                                  unsigned threads) {
   if (n_trials <= 0) return ExperimentSummary{};

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
-#include "rst/core/experiment.hpp"
-#include "rst/sim/partitioned_scheduler.hpp"
 
 namespace rst::core {
 
@@ -45,14 +45,6 @@ void TestbedConfig::validate() const {
     throw std::invalid_argument{
         "TestbedConfig: medium_power_floor_dbm must be a finite negative level"};
   }
-  if (!std::isfinite(medium_grid_cell_m) || medium_grid_cell_m < 0.0) {
-    throw std::invalid_argument{
-        "TestbedConfig: medium_grid_cell_m must be >= 0 (0 derives from the power floor)"};
-  }
-  if (medium_partitions < 0) {
-    throw std::invalid_argument{
-        "TestbedConfig: medium_partitions must be non-negative (0 = environment)"};
-  }
   if (cpm_enable) {
     if (cpm_interval <= sim::SimTime::zero()) {
       throw std::invalid_argument{"TestbedConfig: cpm_interval must be positive"};
@@ -91,18 +83,8 @@ TestbedScenario::TestbedScenario(TestbedConfig config)
   channel.per_link_streams = config_.medium_per_link_streams;
   channel.spatial_index = config_.medium_spatial_index;
   channel.power_floor_dbm = config_.medium_power_floor_dbm;
-  channel.cell_size_m = config_.medium_grid_cell_m;
-  const int parts = config_.medium_partitions > 0
-                        ? config_.medium_partitions
-                        : static_cast<int>(experiment_partitions_from_env(1));
-  if (parts > 1 && config_.medium_spatial_index) {
-    sim::PartitionedScheduler::Config pcfg;
-    pcfg.partitions = static_cast<std::uint32_t>(parts);
-    engine_ = std::make_unique<sim::PartitionedScheduler>(pcfg);
-  }
   medium_ = std::make_unique<dot11p::Medium>(sched_, rng_.child("medium"), std::move(channel));
   medium_->set_fault_injector(faults_.get());
-  if (engine_) medium_->set_partition_engine(engine_.get());
   lan_ = std::make_unique<middleware::HttpLan>(sched_, rng_.child("lan"), config_.lan);
   lan_->set_fault_injector(faults_.get());
   vehicle_bus_ = std::make_unique<middleware::MessageBus>(sched_, rng_.child("vbus"), config_.bus);
@@ -422,7 +404,15 @@ TrialResult TestbedScenario::run_emergency_brake_trial(sim::SimTime timeout) {
   result.timed_out = !halted;
 
   // Mine the typed stage events for the instrumented steps (the trace is
-  // what the paper's NTP-stamped logs are).
+  // what the paper's NTP-stamped logs are). A full ring drops new events,
+  // so a stage missing from an overflowed trace says nothing about the
+  // trial: fail loud instead of reporting "not stopped by DENM".
+  if (trace_.events_dropped() > 0) {
+    throw std::runtime_error{"TestbedScenario: trial trace overflowed (" +
+                             std::to_string(trace_.events_dropped()) +
+                             " events dropped at capacity " +
+                             std::to_string(trace_.event_capacity()) + ")"};
+  }
   const bool cellular = config_.warning_path != WarningPath::ItsG5;
   const auto* det = trace_.find_event(sim::Stage::HazardDecision, t_start);
   const auto* rsu_send =

@@ -6,7 +6,6 @@
 
 #include "rst/dot11p/radio.hpp"
 #include "rst/sim/fault_plan.hpp"
-#include "rst/sim/partitioned_scheduler.hpp"
 
 namespace rst::dot11p {
 
@@ -17,11 +16,6 @@ constexpr sim::SimTime kDefaultReindexPeriod = sim::SimTime::milliseconds(100);
 /// Salt separating the PER draw stream from the shadowing/fading stream of
 /// the same (tx, rx, seq) link.
 constexpr std::uint64_t kPerDrawSalt = 0x5bd1e995u;
-
-/// Below this fan-out a domain-phase dispatch costs more than the per-link
-/// math it parallelizes; the serial path is used instead. Outcomes are
-/// identical either way, so the threshold is purely a performance knob.
-constexpr std::size_t kMinParallelFanout = 8;
 
 std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
   h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
@@ -50,18 +44,15 @@ Medium::~Medium() = default;
 
 void Medium::ensure_grid(const RadioConfig& first_cfg) {
   if (grid_ || !channel_.spatial_index) return;
-  double cell = channel_.cell_size_m;
-  if (cell <= 0.0) {
-    // Derive from the power floor: one cell spans roughly one hearing
-    // radius, so a query visits a 3x3-ish neighbourhood. Radios attached
-    // later with bigger budgets just query more cells; correctness never
-    // depends on the cell size.
-    const double budget = first_cfg.tx_power_dbm + 2.0 * first_cfg.antenna_gain_dbi -
-                          channel_.power_floor_dbm;
-    const double r = invert_range_m(budget);
-    cell = std::isfinite(r) ? std::clamp(r, 1.0, 10000.0) : 250.0;
-  }
-  grid_ = std::make_unique<geo::SpatialGrid>(cell);
+  // Derive the cell from the power floor: one cell spans roughly one
+  // hearing radius, so a query visits a 3x3-ish neighbourhood. Radios
+  // attached later with bigger budgets just query more cells; correctness
+  // never depends on the cell size.
+  const double budget = first_cfg.tx_power_dbm + 2.0 * first_cfg.antenna_gain_dbi -
+                        channel_.power_floor_dbm;
+  const double r = invert_range_m(budget);
+  grid_ = std::make_unique<geo::SpatialGrid>(std::isfinite(r) ? std::clamp(r, 1.0, 10000.0)
+                                                              : 250.0);
 }
 
 void Medium::attach(Radio* radio) {
@@ -237,49 +228,6 @@ std::uint64_t Medium::link_key(std::uint64_t tx_mac, std::uint64_t rx_mac,
   return hash_combine(hash_combine(hash_combine(0, tx_mac), rx_mac), seq);
 }
 
-void Medium::set_partition_engine(sim::PartitionedScheduler* engine) {
-  engine_ = engine;
-  domains_ = engine != nullptr ? engine->partitions() : 0;
-  budget_shards_.clear();
-  domain_scratch_.clear();
-  if (domains_ > 1) {
-    budget_shards_.resize(domains_);
-    domain_scratch_.resize(domains_);
-  }
-}
-
-double Medium::grid_cell_size_m() const { return grid_ ? grid_->cell_size_m() : 0.0; }
-
-std::uint32_t Medium::slot_domain(std::uint32_t slot_id) const {
-  return geo::SpatialGrid::cell_domain(grid_->cell_of(slots_[slot_id].pos), domains_);
-}
-
-double Medium::cached_budget_dbm_sharded(std::uint32_t tx_slot, std::uint32_t rx_slot,
-                                         std::uint32_t domain) {
-  const std::uint64_t key = (static_cast<std::uint64_t>(tx_slot) << 32) | rx_slot;
-  const Slot& tx = slots_[tx_slot];
-  const Slot& rx = slots_[rx_slot];
-  auto [it, inserted] = budget_shards_[domain].try_emplace(key);
-  CachedBudget& entry = it->second;
-  // The hit/miss sequence per (tx, rx) pair matches the shared-cache path:
-  // a hit needs a prior write at the *current* epoch pair, epochs are
-  // monotone, and while both epochs are unchanged the receiver's position
-  // (hence its domain, hence its shard) is fixed — so any such write is in
-  // this shard. Entries orphaned by a domain migration can never validate
-  // again.
-  if (!inserted && entry.tx_epoch == tx.epoch && entry.rx_epoch == rx.epoch) {
-    ++domain_scratch_[domain].cache_hits;
-    return entry.mean_dbm;
-  }
-  ++domain_scratch_[domain].cache_misses;
-  const double loss = channel_.path_loss->loss_db(tx.pos, rx.pos);
-  entry.tx_epoch = tx.epoch;
-  entry.rx_epoch = rx.epoch;
-  entry.mean_dbm = tx.radio->config().tx_power_dbm + tx.radio->config().antenna_gain_dbi +
-                   rx.radio->config().antenna_gain_dbi - loss;
-  return entry.mean_dbm;
-}
-
 std::shared_ptr<Medium::Transmission> Medium::acquire_transmission() {
   if (pool_.empty()) return std::make_shared<Transmission>();
   auto t = std::move(pool_.back());
@@ -370,12 +318,8 @@ void Medium::begin_transmission_per_link(const std::shared_ptr<Transmission>& t)
     // Canonical order: ascending slot id, matching the full fan-out path,
     // so culling cannot reorder deliveries within one finish event.
     std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
-    if (partitioned_active() && scratch_candidates_.size() >= kMinParallelFanout) {
-      begin_candidates_partitioned(t);
-    } else {
-      for (const std::uint32_t rx_slot : scratch_candidates_) {
-        admit_receiver_per_link(t, rx_slot);
-      }
+    for (const std::uint32_t rx_slot : scratch_candidates_) {
+      admit_receiver_per_link(t, rx_slot);
     }
     // Radios outside the visited cells are below the power floor by
     // construction; fold them into the below-sensitivity drop count in one
@@ -392,22 +336,6 @@ void Medium::begin_transmission_per_link(const std::shared_ptr<Transmission>& t)
   }
 }
 
-double Medium::draw_link_power_dbm(double mean_dbm, std::uint64_t tx_mac, std::uint64_t rx_mac,
-                                   std::uint64_t seq) const {
-  double p = mean_dbm;
-  if (channel_.shadowing_sigma_db > 0 || channel_.fading == FadingModel::Nakagami) {
-    sim::CounterStream draws = link_rng_.counter_child(link_key(tx_mac, rx_mac, seq));
-    if (channel_.shadowing_sigma_db > 0) {
-      p += draws.normal(0.0, channel_.shadowing_sigma_db);
-    }
-    if (channel_.fading == FadingModel::Nakagami) {
-      const double gain = draws.gamma(channel_.nakagami_m, 1.0 / channel_.nakagami_m);
-      p += mw_to_dbm(std::max(gain, 1e-9));
-    }
-  }
-  return p;
-}
-
 void Medium::admit_receiver_per_link(const std::shared_ptr<Transmission>& t,
                                      std::uint32_t rx_slot) {
   refresh_slot(rx_slot);
@@ -419,14 +347,19 @@ void Medium::admit_receiver_per_link(const std::shared_ptr<Transmission>& t,
     ++stats_.culled_below_floor;
     return;
   }
-  const double p = draw_link_power_dbm(mean, t->frame.src_mac,
-                                       slots_[rx_slot].radio->mac_address(), t->seq);
-  apply_admission(t, rx_slot, p);
-}
-
-void Medium::apply_admission(const std::shared_ptr<Transmission>& t, std::uint32_t rx_slot,
-                             double p) {
   Slot& rx = slots_[rx_slot];
+  double p = mean;
+  if (channel_.shadowing_sigma_db > 0 || channel_.fading == FadingModel::Nakagami) {
+    sim::CounterStream draws =
+        link_rng_.counter_child(link_key(t->frame.src_mac, rx.radio->mac_address(), t->seq));
+    if (channel_.shadowing_sigma_db > 0) {
+      p += draws.normal(0.0, channel_.shadowing_sigma_db);
+    }
+    if (channel_.fading == FadingModel::Nakagami) {
+      const double gain = draws.gamma(channel_.nakagami_m, 1.0 / channel_.nakagami_m);
+      p += mw_to_dbm(std::max(gain, 1e-9));
+    }
+  }
   const auto index = static_cast<std::uint32_t>(t->receivers.size());
   const double p_mw = dbm_to_mw(p);
   // Seed our interference tally with the receiver's running sum and add our
@@ -451,55 +384,6 @@ void Medium::apply_admission(const std::shared_ptr<Transmission>& t, std::uint32
   rx.active.push_back(ActiveRx{t.get(), index});
   rx.interference_mw += p_mw;
   if (p >= rx.radio->config().cs_threshold_dbm) rx.radio->on_cs_busy_delta(+1);
-}
-
-void Medium::begin_candidates_partitioned(const std::shared_ptr<Transmission>& t) {
-  ++partitioned_phases_;
-  const std::size_t n = scratch_candidates_.size();
-  cand_domain_.resize(n);
-  cand_power_dbm_.resize(n);
-  cand_admit_.assign(n, 0);
-  // Serial pre-pass: position refreshes move grid bins (shared mutation),
-  // so they cannot run inside the phase. Domains are derived from the
-  // refreshed positions, making the work assignment — like everything else
-  // here — a pure function of simulation state.
-  for (std::size_t i = 0; i < n; ++i) {
-    refresh_slot(scratch_candidates_[i]);
-    cand_domain_[i] = slot_domain(scratch_candidates_[i]);
-  }
-  // Parallel compute: per-candidate budget (domain-sharded cache), floor
-  // admission and the counter-keyed power draws. Each member only touches
-  // its own domain's shard/scratch and its own candidates' result cells.
-  const double floor_dbm = channel_.power_floor_dbm;
-  const Transmission* tp = t.get();
-  engine_->parallel_phase(domains_, [&](unsigned d) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (cand_domain_[i] != d) continue;
-      const std::uint32_t rx_slot = scratch_candidates_[i];
-      const double mean = cached_budget_dbm_sharded(tp->tx_slot, rx_slot, d) - tx_fault_db_;
-      if (mean < floor_dbm) continue;
-      cand_admit_[i] = 1;
-      cand_power_dbm_[i] = draw_link_power_dbm(mean, tp->frame.src_mac,
-                                               slots_[rx_slot].radio->mac_address(), tp->seq);
-    }
-  });
-  for (DomainScratch& ds : domain_scratch_) {
-    stats_.budget_cache_hits += ds.cache_hits;
-    stats_.budget_cache_misses += ds.cache_misses;
-    ds = DomainScratch{};
-  }
-  // Serial apply in the canonical ascending-slot order: interference
-  // seeding/tallies, snapshot pushes and carrier sense are order-sensitive
-  // side effects, but they consume only the precomputed pure values, so
-  // the result is bit-identical to the serial path.
-  for (std::size_t i = 0; i < n; ++i) {
-    if (cand_admit_[i] != 0) {
-      apply_admission(t, scratch_candidates_[i], cand_power_dbm_[i]);
-    } else {
-      ++stats_.dropped_below_sensitivity;
-      ++stats_.culled_below_floor;
-    }
-  }
 }
 
 double Medium::interference_mw(const Transmission& t, Radio* rx) const {
@@ -570,95 +454,42 @@ void Medium::finish_transmission_legacy(const std::shared_ptr<Transmission>& t) 
   }
 }
 
-Medium::RxVerdict Medium::compute_rx_verdict(const Transmission& t, std::size_t i,
-                                             double noise_mw, double& sinr_db) const {
-  Radio* rx = t.receivers[i];
-  if (rx == nullptr) return RxVerdict::kSkip;  // detached mid-flight
-  const double power_dbm = t.rx_power_dbm[i];
-  if (power_dbm < rx->config().rx_sensitivity_dbm) return RxVerdict::kBelowSensitivity;
-  if (rx->was_transmitting_during(t.start, t.end)) return RxVerdict::kHalfDuplex;
-  const double rx_noise_mw = noise_mw * db_to_ratio(rx->config().noise_figure_db);
-  // O(1): the tally already holds the sum of every overlapping
-  // transmission's power at this receiver (own power excluded).
-  const double sinr_mw = dbm_to_mw(power_dbm) / (rx_noise_mw + t.interference_mw[i]);
-  sinr_db = mw_to_dbm(sinr_mw);
-  const double per = packet_error_rate(sinr_db, t.psdu_bytes, t.mcs);
-  sim::CounterStream per_draw = link_rng_.counter_child(
-      link_key(t.frame.src_mac, rx->mac_address(), t.seq) ^ kPerDrawSalt);
-  return per_draw.bernoulli(per) ? RxVerdict::kError : RxVerdict::kDeliver;
-}
-
-void Medium::apply_rx_verdict(const std::shared_ptr<Transmission>& t, std::size_t i, RxVerdict v,
-                              double sinr_db) {
-  Radio* rx = t->receivers[i];
-  // The slot may have been nulled between verdict and apply (a delivery
-  // callback detaching a later receiver): skip side effects entirely,
-  // exactly as the pre-split loop would have.
-  if (rx == nullptr || v == RxVerdict::kSkip) return;
-  Slot& rx_slot = slots_[t->rx_slots[i]];
-  const double power_dbm = t->rx_power_dbm[i];
-  remove_active(rx_slot, t.get(), static_cast<std::uint32_t>(i));
-  rx_slot.interference_mw -= dbm_to_mw(power_dbm);
-  if (power_dbm >= rx->config().cs_threshold_dbm) rx->on_cs_busy_delta(-1);
-  switch (v) {
-    case RxVerdict::kBelowSensitivity:
-      ++stats_.dropped_below_sensitivity;
-      break;
-    case RxVerdict::kHalfDuplex:
-      ++stats_.dropped_half_duplex;
-      break;
-    case RxVerdict::kError:
-      ++stats_.dropped_error;
-      break;
-    case RxVerdict::kDeliver:
-      ++stats_.deliveries;
-      rx->deliver(t->frame, RxInfo{power_dbm, sinr_db, sched_.now(), t->frame.src_mac});
-      break;
-    case RxVerdict::kSkip:
-      break;  // unreachable: handled above
-  }
-}
-
-void Medium::finish_receivers_partitioned(const std::shared_ptr<Transmission>& t,
-                                          double noise_mw) {
-  ++partitioned_phases_;
-  const std::size_t n = t->receivers.size();
-  finish_domain_.resize(n);
-  finish_verdict_.assign(n, RxVerdict::kSkip);
-  finish_sinr_db_.assign(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    finish_domain_[i] = t->receivers[i] != nullptr ? slot_domain(t->rx_slots[i]) : 0;
-  }
-  // Parallel compute: every verdict input (snapshot powers, interference
-  // tallies, tx histories, counter-keyed PER draws) is fixed at event
-  // entry, so per-receiver decisions are independent reads.
-  const Transmission* tp = t.get();
-  engine_->parallel_phase(domains_, [&](unsigned d) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (finish_domain_[i] != d || tp->receivers[i] == nullptr) continue;
-      double sinr_db = 0.0;
-      finish_verdict_[i] = compute_rx_verdict(*tp, i, noise_mw, sinr_db);
-      finish_sinr_db_[i] = sinr_db;
-    }
-  });
-  // Serial apply in receiver-snapshot order: carrier-sense releases,
-  // interference unwinding and delivery callbacks in the exact order the
-  // serial loop produces them.
-  for (std::size_t i = 0; i < n; ++i) {
-    apply_rx_verdict(t, i, finish_verdict_[i], finish_sinr_db_[i]);
-  }
-}
-
 void Medium::finish_transmission_per_link(const std::shared_ptr<Transmission>& t) {
   const double noise_mw = dbm_to_mw(noise_floor_dbm(0.0));
-  if (partitioned_active() && t->receivers.size() >= kMinParallelFanout) {
-    finish_receivers_partitioned(t, noise_mw);
-  } else {
-    for (std::size_t i = 0; i < t->receivers.size(); ++i) {
-      double sinr_db = 0.0;
-      const RxVerdict v = compute_rx_verdict(*t, i, noise_mw, sinr_db);
-      apply_rx_verdict(t, i, v, sinr_db);
+  for (std::size_t i = 0; i < t->receivers.size(); ++i) {
+    // Re-read every iteration: a delivery callback may detach a later
+    // receiver, nulling its entry.
+    Radio* rx = t->receivers[i];
+    if (rx == nullptr) continue;  // detached mid-flight
+    const double power_dbm = t->rx_power_dbm[i];
+    // Decide first, then release carrier sense and the interference tally:
+    // the release may resume the receiver's own backoff.
+    std::uint64_t* dropped = nullptr;
+    double sinr_db = 0.0;
+    if (power_dbm < rx->config().rx_sensitivity_dbm) {
+      dropped = &stats_.dropped_below_sensitivity;
+    } else if (rx->was_transmitting_during(t->start, t->end)) {
+      dropped = &stats_.dropped_half_duplex;
+    } else {
+      const double rx_noise_mw = noise_mw * db_to_ratio(rx->config().noise_figure_db);
+      // O(1): the tally already holds the sum of every overlapping
+      // transmission's power at this receiver (own power excluded).
+      sinr_db = mw_to_dbm(dbm_to_mw(power_dbm) / (rx_noise_mw + t->interference_mw[i]));
+      const double per = packet_error_rate(sinr_db, t->psdu_bytes, t->mcs);
+      sim::CounterStream per_draw = link_rng_.counter_child(
+          link_key(t->frame.src_mac, rx->mac_address(), t->seq) ^ kPerDrawSalt);
+      if (per_draw.bernoulli(per)) dropped = &stats_.dropped_error;
     }
+    Slot& rx_slot = slots_[t->rx_slots[i]];
+    remove_active(rx_slot, t.get(), static_cast<std::uint32_t>(i));
+    rx_slot.interference_mw -= dbm_to_mw(power_dbm);
+    if (power_dbm >= rx->config().cs_threshold_dbm) rx->on_cs_busy_delta(-1);
+    if (dropped != nullptr) {
+      ++*dropped;
+      continue;
+    }
+    ++stats_.deliveries;
+    rx->deliver(t->frame, RxInfo{power_dbm, sinr_db, sched_.now(), t->frame.src_mac});
   }
   release_transmission(t);
 }

@@ -323,9 +323,14 @@ void GeoNetRouter::remember(GnAddress src, std::uint16_t seq) {
 
 void GeoNetRouter::update_location_table(const LongPositionVector& pv) {
   if (pv.address == address_) return;
-  const bool fresh = !location_table_.contains(pv.address.value);
-  auto& entry = location_table_[pv.address.value];
-  entry.position_vector = pv;
+  const auto [it, fresh] = location_table_.try_emplace(pv.address.value);
+  LocationTableEntry& entry = it->second;
+  // EN 302 636-4-1 Annex C: only a newer position vector replaces the stored
+  // one, so an old source PV carried in a forwarded packet cannot overwrite
+  // a fresher one learnt directly.
+  if (fresh || gn_timestamp_newer(pv.timestamp_ms, entry.position_vector.timestamp_ms)) {
+    entry.position_vector = pv;
+  }
   entry.last_update = sched_.now();
   ++entry.packets_received;
   if (fresh) flush_ls_buffer(pv.address);

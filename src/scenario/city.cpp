@@ -7,8 +7,6 @@
 #include <stdexcept>
 
 #include "rst/core/config_io.hpp"
-#include "rst/core/experiment.hpp"
-#include "rst/sim/partitioned_scheduler.hpp"
 
 namespace rst::scenario {
 
@@ -60,12 +58,6 @@ void CitySpec::validate() const {
   }
   if (!std::isfinite(power_floor_dbm) || power_floor_dbm > 0.0) {
     throw std::invalid_argument{"CitySpec: power_floor_dbm must be a finite negative level"};
-  }
-  if (!std::isfinite(grid_cell_m) || grid_cell_m < 0.0) {
-    throw std::invalid_argument{"CitySpec: grid_cell_m must be a finite non-negative size"};
-  }
-  if (partitions < 0) {
-    throw std::invalid_argument{"CitySpec: partitions must be non-negative (0 = environment)"};
   }
   const int rows = blocks_y + 1;
   if (corridor_row >= rows) {
@@ -146,10 +138,6 @@ CitySpec parse_city_spec(const std::string& text) {
       spec.obstacle_index = parse_spec_bool(value, key);
     } else if (key == "power_floor_dbm") {
       spec.power_floor_dbm = parse_spec_double(value, key);
-    } else if (key == "grid_cell_m") {
-      spec.grid_cell_m = parse_spec_double(value, key);
-    } else if (key == "partitions") {
-      spec.partitions = static_cast<int>(parse_spec_int(value, key));
     } else {
       throw std::invalid_argument{"city spec: unknown key '" + key + "'"};
     }
@@ -189,8 +177,6 @@ std::vector<std::pair<std::string, std::string>> city_spec_keys() {
       {"spatial_index", "grid receiver culling (PR 3 medium)"},
       {"obstacle_index", "ray-index building walls (off = brute-force scan)"},
       {"power_floor_dbm", "per-link out-of-range floor"},
-      {"grid_cell_m", "culling/partition grid cell size (0 = derive)"},
-      {"partitions", "medium partition domains (0 = RST_PARTITIONS env)"},
   };
 }
 
@@ -234,8 +220,6 @@ std::string format_city_spec(const CitySpec& spec) {
   boolean("spatial_index", spec.spatial_index);
   boolean("obstacle_index", spec.obstacle_index);
   num("power_floor_dbm", spec.power_floor_dbm);
-  num("grid_cell_m", spec.grid_cell_m);
-  integer("partitions", spec.partitions);
   return out.str();
 }
 
@@ -435,17 +419,9 @@ CityScenario::CityScenario(CitySpec spec)
   channel.per_link_streams = spec_.spatial_index;
   channel.spatial_index = spec_.spatial_index;
   channel.power_floor_dbm = spec_.power_floor_dbm;
-  channel.cell_size_m = spec_.grid_cell_m;
   channel.max_station_speed_mps =
       std::max(50.0, 2.0 * (spec_.vehicle_speed_mps + spec_.vehicle_speed_jitter_mps));
-  const int parts = resolved_partitions();
-  if (parts > 1 && spec_.spatial_index) {
-    sim::PartitionedScheduler::Config pcfg;
-    pcfg.partitions = static_cast<std::uint32_t>(parts);
-    engine_ = std::make_unique<sim::PartitionedScheduler>(pcfg);
-  }
   medium_ = std::make_unique<dot11p::Medium>(sched_, rng_.child("medium"), std::move(channel));
-  if (engine_) medium_->set_partition_engine(engine_.get());
   lan_ = std::make_unique<middleware::HttpLan>(sched_, rng_.child("lan"));
 
   rsus_.reserve(net_.rsu_positions.size());
@@ -479,11 +455,6 @@ CityScenario::CityScenario(CitySpec spec)
 }
 
 CityScenario::~CityScenario() = default;
-
-int CityScenario::resolved_partitions() const {
-  if (spec_.partitions > 0) return spec_.partitions;
-  return static_cast<int>(core::experiment_partitions_from_env(1));
-}
 
 core::ItsStation& CityScenario::vehicle(std::size_t i) { return vehicles_[i]->station(); }
 

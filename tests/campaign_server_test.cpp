@@ -372,6 +372,18 @@ TEST(CampaignEngine, BadSpecIsAnErrorNotACrash) {
   EXPECT_EQ(engine.trials_executed(), 0u);
 }
 
+TEST(CampaignEngine, RemovedPartitionKeyIsAnErrorNotASilentRun) {
+  // A stored spec from before the partitioned engine was retired must not
+  // run serially under its old name; it is rejected as an unknown key.
+  CampaignEngine engine{{}};
+  CampaignRequest old_spec = small_campaign();
+  old_spec.spec = std::string{kSpec} + "medium_partitions = 4\n";
+  const CampaignOutcome out = engine.execute(old_spec);
+  EXPECT_EQ(out.status, CampaignOutcome::Status::Error);
+  EXPECT_NE(out.error.find("medium_partitions"), std::string::npos);
+  EXPECT_EQ(engine.trials_executed(), 0u);
+}
+
 TEST(CampaignEngine, BoundedQueueRejectsOverload) {
   CampaignEngineConfig config;
   config.queue_capacity = 2;

@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "rst/scenario/city.hpp"
 
 namespace rst {
@@ -75,6 +78,36 @@ TEST(CityDelivery, ReportIsBitStableAcrossReruns) {
   EXPECT_EQ(a.fingerprint(), b.fingerprint());
   EXPECT_EQ(a.first_far_delivery, b.first_far_delivery);
   EXPECT_EQ(a.kaf_retransmissions, b.kaf_retransmissions);
+}
+
+// --- The city spec format (shared by every city experiment) ---------------
+
+TEST(CitySpecFormat, FormatParseRoundTrips) {
+  CitySpec spec = gap_corridor();
+  spec.seed = 0xDEADBEEFCAFEull;
+  spec.shadowing_sigma_db = 3.25;
+  spec.rsu_cam_interval = SimTime::milliseconds(80);
+  spec.enable_kaf = true;
+
+  const CitySpec back = scenario::parse_city_spec(scenario::format_city_spec(spec));
+  EXPECT_EQ(back.seed, spec.seed);
+  EXPECT_EQ(back.blocks_x, spec.blocks_x);
+  EXPECT_EQ(back.block_m, spec.block_m);
+  EXPECT_EQ(back.shadowing_sigma_db, spec.shadowing_sigma_db);
+  EXPECT_EQ(back.rsu_cam_interval, spec.rsu_cam_interval);
+  EXPECT_EQ(back.enable_kaf, spec.enable_kaf);
+  EXPECT_EQ(back.path_loss_exponent, spec.path_loss_exponent);
+  // Idempotence: formatting the round-tripped spec reproduces the text.
+  EXPECT_EQ(scenario::format_city_spec(back), scenario::format_city_spec(spec));
+}
+
+TEST(CitySpecFormat, RemovedMediumKeysAreUnknown) {
+  // The partition count and the grid cell override no longer exist: a spec
+  // still naming them must fail loud instead of running without them.
+  for (const std::string key : {"partitions", "grid_cell_m"}) {
+    EXPECT_THROW((void)scenario::parse_city_spec(key + " = 4\n"), std::invalid_argument) << key;
+    for (const auto& [known, help] : scenario::city_spec_keys()) EXPECT_NE(known, key);
+  }
 }
 
 }  // namespace

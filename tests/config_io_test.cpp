@@ -61,30 +61,15 @@ TEST(ConfigIo, UnknownKeyAndBadValuesThrow) {
   EXPECT_THROW((void)apply_config_overrides(config, "just a line\n"), std::invalid_argument);
 }
 
-TEST(ConfigIo, MediumGeometryAndPartitionKnobsApplyAndValidate) {
-  TestbedConfig config;
-  const auto n = apply_config_overrides(config,
-                                        "medium_spatial_index = true\n"
-                                        "medium_grid_cell_m = 75.5\n"
-                                        "medium_partitions = 4\n");
-  EXPECT_EQ(n, 3u);
-  EXPECT_TRUE(config.medium_spatial_index);
-  EXPECT_DOUBLE_EQ(config.medium_grid_cell_m, 75.5);
-  EXPECT_EQ(config.medium_partitions, 4);
-  EXPECT_NO_THROW(config.validate());
-
-  // 0 is the "derive from the power floor" / "adopt the environment"
-  // sentinel for both knobs and must stay valid.
-  (void)apply_config_overrides(config, "medium_grid_cell_m = 0\nmedium_partitions = 0\n");
-  EXPECT_NO_THROW(config.validate());
-
-  EXPECT_THROW((void)apply_config_overrides(config, "medium_grid_cell_m = nope\n"),
-               std::invalid_argument);
-  (void)apply_config_overrides(config, "medium_grid_cell_m = -1\n");
-  EXPECT_THROW(config.validate(), std::invalid_argument);
-  config.medium_grid_cell_m = 0.0;
-  (void)apply_config_overrides(config, "medium_partitions = -2\n");
-  EXPECT_THROW(config.validate(), std::invalid_argument);
+TEST(ConfigIo, RemovedMediumKnobsAreUnknownKeys) {
+  // The partition count and the grid cell override no longer exist: a spec
+  // still naming them must fail loud instead of running without them.
+  for (const std::string key : {"medium_partitions", "medium_grid_cell_m"}) {
+    TestbedConfig config;
+    EXPECT_THROW((void)apply_config_overrides(config, key + " = 4\n"), std::invalid_argument)
+        << key;
+    for (const auto& [known, help] : config_override_keys()) EXPECT_NE(known, key);
+  }
 }
 
 TEST(ConfigIo, ZeroRepetitionDisables) {

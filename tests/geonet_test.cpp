@@ -353,6 +353,104 @@ TEST(GeoNet, ExpiredPacketsAreDroppedNotProcessed) {
   EXPECT_EQ(b.delivered.size(), 1u);
 }
 
+TEST(GeoNet, TimestampComparisonWrapsModulo2To32) {
+  EXPECT_TRUE(gn_timestamp_newer(1001, 1000));
+  EXPECT_FALSE(gn_timestamp_newer(1000, 1001));
+  EXPECT_FALSE(gn_timestamp_newer(1000, 1000));
+  // Just past the wrap is newer than just before it, and not the reverse.
+  EXPECT_TRUE(gn_timestamp_newer(0x00000005u, 0xFFFFFFF0u));
+  EXPECT_FALSE(gn_timestamp_newer(0xFFFFFFF0u, 0x00000005u));
+  EXPECT_TRUE(gn_timestamp_newer(0x00000000u, 0xFFFFFFFFu));
+  // The half-range boundary: less than 2^31 ahead is newer, 2^31 is not.
+  EXPECT_TRUE(gn_timestamp_newer(0x7FFFFFFFu, 0x00000000u));
+  EXPECT_FALSE(gn_timestamp_newer(0x80000000u, 0x00000000u));
+  EXPECT_FALSE(gn_timestamp_newer(0x00000000u, 0x80000000u));
+  EXPECT_TRUE(gn_timestamp_newer(0x80000000u, 0x00000001u));
+}
+
+/// Sends a hand-crafted GN packet from `radio` with `source` as the source
+/// position vector; a forwarder other than the source makes it a relayed copy.
+void send_raw(dot11p::Radio& radio, GnPacketType type, const LongPositionVector& source,
+              const LongPositionVector& forwarder, std::uint16_t seq) {
+  GnPacket pkt;
+  pkt.type = type;
+  pkt.remaining_hop_limit = 1;
+  pkt.lifetime_50ms = 200;  // 10 s: every timestamp below is within its lifetime
+  pkt.sequence_number = seq;
+  pkt.source = source;
+  pkt.forwarder = forwarder;
+  if (type != GnPacketType::Beacon) pkt.payload = payload_bytes();
+  dot11p::Frame f;
+  f.payload = pkt.encode();
+  radio.send(std::move(f));
+}
+
+TEST(GeoNet, ForwardedStalePositionVectorDoesNotOverwriteFresherEntry) {
+  Rig rig;
+  auto& relay = rig.add_node(3, {0, 0});
+  auto& b = rig.add_node(2, {20, 0});
+  rig.sched.run_until(5_s);
+  LongPositionVector fresh;
+  fresh.address = GnAddress::from_station(1);
+  fresh.timestamp_ms = 4900;
+  fresh.latitude = 411790000;
+  LongPositionVector stale = fresh;
+  stale.timestamp_ms = 4500;
+  stale.latitude = 411780000;
+  LongPositionVector relay_pv;
+  relay_pv.address = GnAddress::from_station(3);
+  relay_pv.timestamp_ms = 4990;
+
+  // Station 1's own beacon, then an older packet of station 1 relayed over
+  // a second hop: the relayed copy must not roll the entry back.
+  send_raw(*relay.radio, GnPacketType::Beacon, fresh, fresh, 0);
+  rig.sched.run_until(5100_ms);
+  send_raw(*relay.radio, GnPacketType::Tsb, stale, relay_pv, 7);
+  rig.sched.run_until(5200_ms);
+  ASSERT_EQ(b.delivered.size(), 1u);
+  const auto& entry = b.router->location_table().at(GnAddress::from_station(1).value);
+  EXPECT_EQ(entry.position_vector, fresh);
+  EXPECT_EQ(entry.packets_received, 2u);
+  EXPECT_EQ(b.router->location_table().at(GnAddress::from_station(3).value).position_vector,
+            relay_pv);
+
+  // A newer vector still replaces it.
+  LongPositionVector newer = fresh;
+  newer.timestamp_ms = 5150;
+  newer.latitude = 411800000;
+  send_raw(*relay.radio, GnPacketType::Beacon, newer, newer, 0);
+  rig.sched.run_until(5300_ms);
+  EXPECT_EQ(b.router->location_table().at(GnAddress::from_station(1).value).position_vector,
+            newer);
+}
+
+TEST(GeoNet, LocationTableUpdateIsWrapAware) {
+  Rig rig;
+  auto& sender = rig.add_node(3, {0, 0});
+  auto& b = rig.add_node(2, {20, 0});
+  rig.sched.run_until(5_s);
+  const auto stored = [&] {
+    return b.router->location_table().at(GnAddress::from_station(1).value).position_vector;
+  };
+  LongPositionVector before_wrap;
+  before_wrap.address = GnAddress::from_station(1);
+  before_wrap.timestamp_ms = 0xFFFFFF00u;
+  before_wrap.latitude = 1;
+  LongPositionVector after_wrap = before_wrap;
+  after_wrap.timestamp_ms = 0x00000010u;
+  after_wrap.latitude = 2;
+
+  send_raw(*sender.radio, GnPacketType::Beacon, before_wrap, before_wrap, 0);
+  rig.sched.run_until(5100_ms);
+  ASSERT_EQ(stored(), before_wrap);
+  send_raw(*sender.radio, GnPacketType::Beacon, after_wrap, after_wrap, 0);
+  rig.sched.run_until(5200_ms);
+  EXPECT_EQ(stored(), after_wrap);  // past the wrap is newer
+  send_raw(*sender.radio, GnPacketType::Beacon, before_wrap, before_wrap, 0);
+  rig.sched.run_until(5300_ms);
+  EXPECT_EQ(stored(), after_wrap);  // and the pre-wrap vector is now stale
+}
+
 TEST(GeoNet, PositionVectorReflectsEgoState) {
   Rig rig;
   auto& a = rig.add_node(1, {12, 34});

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "rst/its/dcc/reactive_dcc.hpp"
@@ -47,6 +48,12 @@ struct DccCase {
   double cbr;
   its::dcc::DccState expected_state;
 };
+
+// Named printing keeps the discovered test names stable: the default printer
+// dumps the struct's raw bytes, padding included, which differ run to run.
+void PrintTo(const DccCase& c, std::ostream* os) {
+  *os << "cbr=" << c.cbr << " " << its::dcc::to_string(c.expected_state);
+}
 
 class DccGateProperty : public ::testing::TestWithParam<DccCase> {};
 

@@ -9,9 +9,9 @@
 //     random wall soups and a battery of adversarial rays (collinear with a
 //     wall, endpoint-touching, axis-aligned along a cell boundary,
 //     zero-length), across cell sizes including the derived default.
-//  3. End-to-end: the four PR 6 city experiment fingerprints and a
-//     partitioned city run are bit-identical with the index on and off,
-//     and the index engagement counter proves the fast path actually ran.
+//  3. End-to-end: the four city experiment fingerprints are
+//     bit-identical with the index on and off, and the index engagement
+//     counter proves the fast path actually ran.
 
 #include <gtest/gtest.h>
 
@@ -295,54 +295,6 @@ TEST(ObstacleIndex, EmergencyBrakeTablesIdenticalIndexOnOff) {
   const auto off = core::run_emergency_brake_experiment(cfg, 3, 1);
   EXPECT_EQ(core::format_table2(on), core::format_table2(off));
   EXPECT_EQ(core::format_table3(on), core::format_table3(off));
-}
-
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
-/// Medium counters + scheduler state folded into one hash, as in
-/// partition_equivalence_test.
-std::uint64_t run_city_fingerprint(scenario::CitySpec spec, int partitions,
-                                   std::uint64_t* index_queries) {
-  spec.partitions = partitions;
-  scenario::CityScenario city{spec};
-  city.start();
-  city.scheduler().run_until(sim::SimTime::seconds(3));
-  const auto& st = city.medium().stats();
-  std::uint64_t h = 1469598103934665603ull;
-  h = fnv1a(h, st.frames_transmitted);
-  h = fnv1a(h, st.deliveries);
-  h = fnv1a(h, st.dropped_half_duplex);
-  h = fnv1a(h, st.dropped_below_sensitivity);
-  h = fnv1a(h, st.dropped_error);
-  h = fnv1a(h, st.culled_below_floor);
-  h = fnv1a(h, city.scheduler().executed_events());
-  if (index_queries != nullptr && city.obstacles() != nullptr) {
-    *index_queries = city.obstacles()->index_queries();
-  }
-  return h;
-}
-
-TEST(ObstacleIndex, PartitionedCityRunIdenticalAndEngaged) {
-  // Concurrent parallel_phase workers query the index lock-free; the run
-  // must stay bit-identical to serial and to the brute-force scan.
-  scenario::CitySpec spec = small_city(true);
-  spec.vehicles = 12;
-  std::uint64_t queries_serial = 0;
-  std::uint64_t queries_partitioned = 0;
-  const std::uint64_t serial = run_city_fingerprint(spec, 1, &queries_serial);
-  const std::uint64_t partitioned = run_city_fingerprint(spec, 4, &queries_partitioned);
-  EXPECT_EQ(serial, partitioned);
-  EXPECT_GT(queries_serial, 0u);
-  EXPECT_GT(queries_partitioned, 0u);
-  spec.obstacle_index = false;
-  const std::uint64_t brute = run_city_fingerprint(spec, 1, nullptr);
-  EXPECT_EQ(serial, brute);
 }
 
 TEST(ObstacleIndex, LegacyNlosMemoServesStaticPairsAndInvalidatesOnMotion) {

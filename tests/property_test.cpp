@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "rst/core/experiment.hpp"
 #include "rst/dot11p/phy_params.hpp"
 #include "rst/geo/geo_area.hpp"
@@ -109,6 +111,13 @@ struct AreaCase {
   geo::AreaShape shape;
   double azimuth;
 };
+
+// Named printing keeps the discovered test names stable: the default printer
+// dumps the struct's raw bytes, padding included, which differ run to run.
+void PrintTo(const AreaCase& c, std::ostream* os) {
+  static constexpr const char* kShapeNames[] = {"Circle", "Rectangle", "Ellipse"};
+  *os << kShapeNames[static_cast<int>(c.shape)] << " azimuth=" << c.azimuth;
+}
 
 class GeoAreaProperty : public ::testing::TestWithParam<AreaCase> {};
 

@@ -46,44 +46,6 @@ TEST(SpatialGrid, CellBoundaryCrossing) {
   EXPECT_EQ(query_sorted(grid, {-0.1, -0.1}, 0.5), (std::vector<std::uint32_t>{7}));
 }
 
-TEST(SpatialGrid, CellDomainIsStableInRangeAndRoughlyBalanced) {
-  SpatialGrid grid{20.0};
-  // Pure function of (cell, domains): repeated calls agree, and every
-  // result stays inside [0, domains).
-  std::vector<std::size_t> histogram(8, 0);
-  for (int x = -40; x <= 40; ++x) {
-    for (int y = -40; y <= 40; ++y) {
-      const auto cell = grid.cell_of({x * 20.0 + 1.0, y * 20.0 + 1.0});
-      const std::uint32_t d = SpatialGrid::cell_domain(cell, 8);
-      ASSERT_LT(d, 8u);
-      EXPECT_EQ(d, SpatialGrid::cell_domain(cell, 8));
-      ++histogram[d];
-    }
-  }
-  // splitmix64 over 6561 cells: each of 8 domains expects ~820. A loose
-  // 2:1 band catches a broken mix without flaking on the exact counts.
-  for (std::size_t d = 0; d < histogram.size(); ++d) {
-    EXPECT_GT(histogram[d], 410u) << "domain " << d << " starved";
-    EXPECT_LT(histogram[d], 1640u) << "domain " << d << " overloaded";
-  }
-}
-
-TEST(SpatialGrid, CellDomainDegenerateCounts) {
-  SpatialGrid grid{20.0};
-  const auto cell = grid.cell_of({123.0, -456.0});
-  EXPECT_EQ(SpatialGrid::cell_domain(cell, 0), 0u);
-  EXPECT_EQ(SpatialGrid::cell_domain(cell, 1), 0u);
-  // Adjacent cells should not all collapse into one domain (the failure
-  // mode of keying on raw coordinates instead of a mixed hash).
-  std::set<std::uint32_t> seen;
-  for (int dx = 0; dx < 4; ++dx) {
-    for (int dy = 0; dy < 4; ++dy) {
-      seen.insert(SpatialGrid::cell_domain(grid.cell_of({dx * 20.0, dy * 20.0}), 4));
-    }
-  }
-  EXPECT_GT(seen.size(), 1u);
-}
-
 TEST(SpatialGrid, DiscQueryIsSupersetAndCellTight) {
   SpatialGrid grid{25.0};
   sim::RandomStream rng{99, "grid_test"};

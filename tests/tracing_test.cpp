@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -167,6 +168,15 @@ TEST(TraceTyped, FullScenarioEmitsAllPipelineStagesAndValidJson) {
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"HazardDecision\""), std::string::npos);
   EXPECT_NE(json.find("\"name\":\"CameraFrame\""), std::string::npos);
+}
+
+TEST(TraceTyped, TrialWithOverflowedTraceFailsLoud) {
+  core::TestbedConfig config;
+  config.seed = 9;
+  core::TestbedScenario scenario{config};
+  scenario.trace().set_event_capacity(4);
+  EXPECT_THROW((void)scenario.run_emergency_brake_trial(), std::runtime_error);
+  EXPECT_GT(scenario.trace().events_dropped(), 0u);
 }
 
 TEST(Metrics, CounterAndHistogramBasics) {
