@@ -1,10 +1,15 @@
-// Dense-fleet medium scaling: N stations CAM-beaconing at 10 Hz for 10
-// simulated seconds, once through the legacy linear-scan medium and once
-// through the spatially-indexed medium (grid culling + cached link
-// budgets + O(1) interference accounting). Prints wall-clock per mode and
-// the speedup, plus delivery stats as a sanity check that the spatial run
-// still simulates a loaded channel rather than a silent one. The linear
-// lane is O(N^2) and is skipped above kMaxLinearFleet stations.
+// Dense-fleet medium scaling and culling gate: N stations CAM-beaconing at
+// 10 Hz for 10 simulated seconds, once through the medium with its grid
+// culling (the spatial lane) and once with the same channel behind
+// UnculledPathLoss, which forces the full O(N) fan-out per frame (the
+// linear lane). Prints wall-clock per lane and the speedup, plus delivery
+// stats as a sanity check that the run still simulates a loaded channel
+// rather than a silent one.
+//
+// Culling may only skip links already below the power floor, so the two
+// lanes must agree on every outcome counter; the bench exits non-zero when
+// they do not. The linear lane is O(N^2) and is skipped above
+// kMaxLinearFleet stations.
 //
 // Usage: bench_dense_fleet [N ...]   (default sizes: 64 256 1024)
 
@@ -20,6 +25,7 @@
 #include "rst/dot11p/radio.hpp"
 #include "rst/sim/random.hpp"
 #include "rst/sim/scheduler.hpp"
+#include "unculled_path_loss.hpp"
 
 namespace {
 
@@ -28,8 +34,7 @@ using namespace rst;
 constexpr double kBeaconHz = 10.0;
 constexpr std::int64_t kSimSeconds = 10;
 constexpr std::size_t kCamBytes = 300;
-/// Largest fleet the O(N^2) linear lane runs (~25 s at N=1024 on a
-/// 4-core x86-64 host in Release; N=10k would take about 40 min).
+/// Largest fleet the O(N^2) linear lane runs.
 constexpr std::size_t kMaxLinearFleet = 1024;
 
 struct RunStats {
@@ -38,22 +43,32 @@ struct RunStats {
   std::uint64_t rx_total{0};
 };
 
+/// Outcome counters the two lanes must agree on.
+bool same_outcomes(const dot11p::Medium::Stats& a, const dot11p::Medium::Stats& b) {
+  return a.frames_transmitted == b.frames_transmitted && a.deliveries == b.deliveries &&
+         a.dropped_half_duplex == b.dropped_half_duplex &&
+         a.dropped_below_sensitivity == b.dropped_below_sensitivity &&
+         a.dropped_error == b.dropped_error && a.culled_below_floor == b.culled_below_floor;
+}
+
 RunStats run_fleet(std::size_t n, bool spatial) {
   sim::Scheduler sched;
   sim::RandomStream rng{987654321, "dense_fleet"};
 
   // Dense-urban propagation (exponent 3.2): the hearing radius at the
   // -95 dBm floor is ~200 m, so a station's neighbourhood is a few dozen
-  // stations while the fleet spans kilometres — the regime the spatial
-  // index is built for. Flatter exponents inflate the radius until nearly
-  // every link is physically relevant and no index can help. Shadowing
+  // stations while the fleet spans kilometres — the regime grid culling is
+  // built for. Flatter exponents inflate the radius until nearly every link
+  // is physically relevant and no culling can help. Shadowing
   // keeps a per-link Gaussian draw in every admitted link.
   dot11p::ChannelModel channel;
-  channel.path_loss = std::make_shared<dot11p::LogDistanceModel>(
-      dot11p::LogDistanceModel::its_g5(3.2));
+  auto model = std::make_shared<dot11p::LogDistanceModel>(dot11p::LogDistanceModel::its_g5(3.2));
+  if (spatial) {
+    channel.path_loss = std::move(model);
+  } else {
+    channel.path_loss = std::make_shared<dot11p::UnculledPathLoss>(std::move(model));
+  }
   channel.shadowing_sigma_db = 3.0;
-  channel.per_link_streams = spatial;  // the legacy baseline stays untouched
-  channel.spatial_index = spatial;
   channel.power_floor_dbm = -95.0;
   dot11p::Medium medium{sched, rng.child("medium"), channel};
 
@@ -128,6 +143,12 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(spatial.medium.frames_transmitted),
                 static_cast<unsigned long long>(spatial.medium.deliveries),
                 static_cast<unsigned long long>(spatial.medium.culled_below_floor));
+    if (linear_lane && !same_outcomes(linear.medium, spatial.medium)) {
+      std::printf("  !! culled and unculled lanes disagree: deliveries %llu vs %llu\n",
+                  static_cast<unsigned long long>(linear.medium.deliveries),
+                  static_cast<unsigned long long>(spatial.medium.deliveries));
+      return 1;
+    }
     if (spatial.rx_total != spatial.medium.deliveries) {
       std::printf("  !! rx callback count %llu disagrees with medium deliveries\n",
                   static_cast<unsigned long long>(spatial.rx_total));

@@ -21,7 +21,7 @@ class PathLossModel {
   [[nodiscard]] virtual double loss_db(geo::Vec2 tx, geo::Vec2 rx) const = 0;
 
   /// Lower bound on the loss between any two positions `distance_m` apart.
-  /// The spatial index inverts this to derive a conservative culling radius:
+  /// The Medium inverts this to derive a conservative culling radius:
   /// over-estimating loss here would cull radios that can still hear, so
   /// models whose loss is not a pure function of distance must override it
   /// with a true lower bound. The default evaluates the model along an
@@ -123,8 +123,7 @@ class ObstacleShadowingModel final : public PathLossModel {
   [[nodiscard]] std::size_t walls_crossed(geo::Vec2 tx, geo::Vec2 rx) const;
 
   /// Total loss and NLOS depth in one wall pass, with the identical
-  /// accumulation order as `loss_db` — the memoizable unit of work behind
-  /// the medium's epoch-validated NLOS memo.
+  /// accumulation order as `loss_db`.
   struct LossDepth {
     double loss_db{0.0};
     std::uint32_t depth{0};
@@ -171,8 +170,10 @@ enum class FadingModel : std::uint8_t {
 };
 
 /// Full channel = deterministic path loss + log-normal shadowing sigma +
-/// optional small-scale fading. The stochastic draws are made per
-/// transmission per receiver by the Medium.
+/// optional small-scale fading. The Medium makes the stochastic draws per
+/// transmission per receiver from counter-based streams keyed on (tx MAC,
+/// rx MAC, tx sequence). The last three fields are correctness parameters
+/// of its receiver culling (README "Scaling the medium"), not mode switches.
 struct ChannelModel {
   std::shared_ptr<const PathLossModel> path_loss;
   double shadowing_sigma_db{0.0};
@@ -180,33 +181,16 @@ struct ChannelModel {
   /// Nakagami shape parameter (ignored unless fading == Nakagami).
   double nakagami_m{3.0};
 
-  // --- Dense-fleet scaling knobs (README "Scaling the medium") ---
-  //
-  // Both knobs are opt-in; with both off the Medium behaves bit-identically
-  // to the original full-fan-out implementation.
-
-  /// Draw shadowing/fading/PER from counter-based streams keyed on
-  /// (tx MAC, rx MAC, tx sequence) instead of the shared medium-order
-  /// streams, and treat links whose deterministic link budget is below
-  /// `power_floor_dbm` as out of range (no draw, no interference, counted
-  /// as dropped_below_sensitivity). Delivery outcomes become independent of
-  /// receiver iteration order — the precondition for spatial culling.
-  /// Implied by spatial_index.
-  bool per_link_streams{false};
-  /// Cull receivers through a uniform spatial hash grid instead of the full
-  /// radio fan-out. Requires per_link_streams semantics (auto-enabled) and
-  /// must not change any delivery outcome relative to per_link_streams
-  /// alone: the grid radius is derived by inverting
-  /// PathLossModel::min_loss_db at power_floor_dbm.
-  bool spatial_index{false};
   /// Links below this deterministic receive power (dBm, path loss and
-  /// antenna gains only) are never considered. Keep a healthy margin below
+  /// antenna gains only) are out of range: no draw, no interference,
+  /// counted as dropped_below_sensitivity. The culling radius inverts
+  /// PathLossModel::min_loss_db at this floor. Keep a healthy margin below
   /// rx_sensitivity_dbm so post-shadowing/fading upside cannot matter:
   /// default is 15 dB under the default -95 dBm sensitivity (> 5 sigma of
   /// typical shadowing).
   double power_floor_dbm{-110.0};
-  /// How often the grid re-reads every radio's position (amortised into
-  /// begin_transmission, no standing event). Zero means the 100 ms default.
+  /// How often the culling grid re-reads every radio's position (amortised
+  /// into begin_transmission, no standing event). Zero means 100 ms.
   sim::SimTime reindex_period{};
   /// Upper bound on station speed, used to pad the query radius against
   /// positions that are up to one reindex period stale. Stations moving

@@ -23,29 +23,25 @@ class Radio;
 /// delivery between all attached radios.
 ///
 /// Model: when a radio transmits, the receive power at every other radio is
-/// drawn once (path loss + log-normal shadowing) and reused both for
-/// carrier-sense busy indications and for the reception decision at the end
-/// of the airtime. Reception fails if the receiver transmitted during the
-/// frame (half-duplex), if the power is below sensitivity, or by a
-/// SINR-dependent packet error draw where interference is the sum of all
-/// time-overlapping transmissions. Hidden terminals arise naturally from
-/// per-receiver carrier sensing.
+/// drawn once (path loss + log-normal shadowing + optional fading) and
+/// reused both for carrier-sense busy indications and for the reception
+/// decision at the end of the airtime. Reception fails if the receiver
+/// transmitted during the frame (half-duplex), if the power is below
+/// sensitivity, or by a SINR-dependent packet error draw where interference
+/// is the sum of all time-overlapping transmissions. Hidden terminals arise
+/// naturally from per-receiver carrier sensing.
 ///
-/// Two execution paths share that model:
-///
-///  - Legacy (default): receivers visited in attach order, stochastic draws
-///    from two medium-wide streams in visit order, interference by linear
-///    scan over in-flight transmissions. Bit-identical to the original
-///    implementation.
-///  - Per-link (`ChannelModel::per_link_streams`): draws come from
-///    counter-based streams keyed on (tx MAC, rx MAC, tx sequence), links
-///    whose deterministic budget is below `power_floor_dbm` are out of
-///    range, interference is a per-receiver running accumulator (O(1) per
-///    SINR evaluation), and deterministic link budgets are cached per
-///    (tx, rx) slot pair under position epochs. With
-///    `ChannelModel::spatial_index` also set, receivers are culled through
-///    a uniform spatial hash grid, which cannot change any outcome — it
-///    only skips links already below the power floor.
+/// Execution: every stochastic draw comes from a counter-based stream keyed
+/// on (tx MAC, rx MAC, tx sequence), so outcomes do not depend on receiver
+/// iteration order or on how many other radios exist. Links whose
+/// deterministic budget is below `ChannelModel::power_floor_dbm` are out of
+/// range (no draw, no interference). Receivers are culled through a uniform
+/// spatial hash grid whose query radius inverts `PathLossModel::min_loss_db`
+/// at that floor, so culling only ever skips links already below it; a
+/// model that cannot bound the radius gets the full fan-out instead.
+/// Deterministic budgets are cached per (tx, rx) slot pair under position
+/// epochs, and interference is a per-receiver running accumulator (O(1) per
+/// SINR evaluation).
 class Medium {
  public:
   Medium(sim::Scheduler& sched, sim::RandomStream rng, ChannelModel channel);
@@ -68,12 +64,6 @@ class Medium {
   /// link-budget introspection and tests.
   [[nodiscard]] double mean_rx_power_dbm(const Radio& tx, const Radio& rx) const;
 
-  /// Conservative hearing radius for `tx` in per-link mode: the distance at
-  /// which the best-case link budget falls to the configured power floor
-  /// (infinite when the path-loss model cannot bound it). Exposed for tests
-  /// and capacity planning.
-  [[nodiscard]] double cull_radius_m(const Radio& tx) const;
-
   struct Stats {
     std::uint64_t frames_transmitted{0};
     std::uint64_t deliveries{0};
@@ -82,17 +72,11 @@ class Medium {
     std::uint64_t dropped_error{0};
     /// Of dropped_below_sensitivity, how many links were never evaluated
     /// because their deterministic budget sat below the power floor
-    /// (bulk-culled by the grid or floor-checked individually). Always 0 in
-    /// legacy mode.
+    /// (bulk-culled by the grid or floor-checked individually).
     std::uint64_t culled_below_floor{0};
-    /// Link-budget cache performance (per-link mode only).
+    /// Link-budget cache performance.
     std::uint64_t budget_cache_hits{0};
     std::uint64_t budget_cache_misses{0};
-    /// Epoch-validated NLOS memo performance (legacy mode with an
-    /// ObstacleShadowingModel only — the per-link path's budget cache
-    /// already memoizes the full loss there). Both 0 otherwise.
-    std::uint64_t nlos_memo_hits{0};
-    std::uint64_t nlos_memo_misses{0};
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -102,8 +86,8 @@ class Medium {
   /// Subscribes the medium to a fault plan (injection point "medium":
   /// RadioBlackout / RadioAttenuation windows). Null detaches; the default
   /// path is a single pointer check per transmission. The extra attenuation
-  /// is applied after the stochastic draws (legacy) / to the deterministic
-  /// budget (per-link), so the draw sequence is unchanged by the hook.
+  /// is applied to the deterministic budget; the counter-keyed draws are
+  /// unchanged by the hook.
   void set_fault_injector(sim::FaultInjector* faults) { faults_ = faults; }
 
  private:
@@ -113,18 +97,15 @@ class Medium {
     Frame frame;  // payload shared, not copied, across all receivers
     std::size_t psdu_bytes;
     Mcs mcs{Mcs::Qpsk12};  // snapshot: the sender may detach mid-flight
-    std::uint64_t seq{0};  // transmitter's frame sequence (per-link stream key)
+    std::uint64_t seq{0};  // transmitter's frame sequence (link stream key)
     sim::SimTime start;
     sim::SimTime end;
-    /// Receiver snapshot taken at transmission start, parallel to
-    /// `rx_power_dbm` (flat arrays instead of a per-transmission map).
-    /// A detached radio's slot is nulled, never erased, so indices stay
-    /// stable for the interference lookup.
+    /// Receiver snapshot taken at transmission start, as parallel flat
+    /// arrays: radio, slot id, receive power and the running interference
+    /// tally (mW, excluding this transmission's own power). A detached
+    /// radio's entry is nulled, never erased, so indices stay stable.
     std::vector<Radio*> receivers;
     std::vector<double> rx_power_dbm;
-    /// Per-link mode: receiver slot ids and the running interference tally
-    /// (mW, excluding this transmission's own power) parallel to
-    /// `receivers`. Legacy mode leaves these empty.
     std::vector<std::uint32_t> rx_slots;
     std::vector<double> interference_mw;
   };
@@ -155,24 +136,7 @@ class Medium {
     double mean_dbm;
   };
 
-  /// Legacy-path memo of an obstacle model evaluation for one (tx, rx) slot
-  /// pair, valid while both slots' motion epochs are unchanged. Stores the
-  /// *finished* total loss — re-associating a cached base with cached wall
-  /// terms would change the floating-point sum and break bit-identity with
-  /// the unmemoized walk.
-  struct CachedNlos {
-    std::uint32_t tx_epoch;
-    std::uint32_t rx_epoch;
-    double loss_db;
-    std::uint32_t depth;
-  };
-
-  void begin_transmission_legacy(const std::shared_ptr<Transmission>& t);
-  void begin_transmission_per_link(const std::shared_ptr<Transmission>& t);
   void finish_transmission(const std::shared_ptr<Transmission>& t);
-  void finish_transmission_legacy(const std::shared_ptr<Transmission>& t);
-  void finish_transmission_per_link(const std::shared_ptr<Transmission>& t);
-  [[nodiscard]] double interference_mw(const Transmission& t, Radio* rx) const;
 
   /// Re-reads a radio's position; bumps its epoch (and moves its grid bin)
   /// when it changed. Returns the slot's recorded position.
@@ -183,16 +147,9 @@ class Medium {
   void maybe_reindex();
   /// Deterministic link budget via the epoch-validated (tx, rx) cache.
   [[nodiscard]] double cached_budget_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot);
-  /// Legacy-path deterministic receive power. When the channel carries an
-  /// obstacle model, the wall walk is served through the epoch-validated
-  /// NLOS memo so static tx/rx pairs never re-walk; otherwise identical to
-  /// `mean_rx_power_dbm`.
-  [[nodiscard]] double legacy_mean_dbm(Radio* tx, std::uint32_t tx_slot, Radio* rx,
-                                       std::uint32_t rx_slot);
   /// Admits one receiver into transmission `t` (power draw, CS busy,
-  /// interference accounting). Shared by the culled and full-fan-out
-  /// per-link paths.
-  void admit_receiver_per_link(const std::shared_ptr<Transmission>& t, std::uint32_t rx_slot);
+  /// interference accounting). Shared by the culled and full-fan-out paths.
+  void admit_receiver(const std::shared_ptr<Transmission>& t, std::uint32_t rx_slot);
   [[nodiscard]] std::uint64_t link_key(std::uint64_t tx_mac, std::uint64_t rx_mac,
                                        std::uint64_t seq) const;
   void remove_active(Slot& slot, const Transmission* t, std::uint32_t index);
@@ -200,26 +157,20 @@ class Medium {
   void release_transmission(const std::shared_ptr<Transmission>& t);
   void ensure_grid(const RadioConfig& first_cfg);
   [[nodiscard]] double invert_range_m(double budget_db) const;
+  /// Conservative hearing radius of the slot's radio as transmitter: the
+  /// distance at which its best-case budget falls to the power floor
+  /// (infinite when the path-loss model cannot bound it). Cached per slot.
   [[nodiscard]] double slot_cull_radius_m(Slot& slot);
 
   sim::Scheduler& sched_;
-  sim::RandomStream shadow_rng_;
-  sim::RandomStream per_rng_;
   sim::RandomStream link_rng_;
   ChannelModel channel_;
-  bool per_link_;  // channel_.per_link_streams || channel_.spatial_index
-  std::vector<Radio*> radios_;  // attach order; the legacy iteration order
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::size_t attached_count_{0};
-  std::vector<std::shared_ptr<Transmission>> transmissions_;  // legacy scan
-  std::vector<std::shared_ptr<Transmission>> pool_;  // per-link reuse
+  std::vector<std::shared_ptr<Transmission>> pool_;  // finished, reusable
   std::unordered_map<std::uint64_t, CachedBudget> budget_cache_;
-  /// Legacy-path NLOS memo, keyed (tx_slot << 32) | rx_slot. Non-null
-  /// obstacle_model_ (set once in the constructor) is its enable switch.
-  const ObstacleShadowingModel* obstacle_model_{nullptr};
-  std::unordered_map<std::uint64_t, CachedNlos> nlos_cache_;
-  std::unique_ptr<geo::SpatialGrid> grid_;
+  std::unique_ptr<geo::SpatialGrid> grid_;  // created on first attach
   std::vector<std::uint32_t> scratch_candidates_;
   sim::SimTime last_reindex_{};
   sim::SimTime reindex_period_{};

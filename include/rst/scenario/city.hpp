@@ -81,8 +81,6 @@ struct CitySpec {
   double path_loss_exponent{3.2};
   double shadowing_sigma_db{0.0};
   double tx_power_dbm{23.0};
-  /// Dense-fleet medium scaling (PR 3): per-link streams + grid culling.
-  bool spatial_index{true};
   /// Ray-index the building walls (geo::ObstacleGrid); off falls back to
   /// the brute-force wall scan. Bit-identical either way — the knob exists
   /// for equivalence testing and tiny maps.

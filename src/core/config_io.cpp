@@ -146,16 +146,6 @@ const std::map<std::string, Entry>& registry() {
               SimTime::milliseconds(parse_int(v, "cpm_redundancy_window_ms"));
         },
         "skip objects a peer announced within this window"}},
-      {"medium_per_link_streams",
-       {[](TestbedConfig& c, const std::string& v) {
-          c.medium_per_link_streams = parse_bool(v, "medium_per_link_streams");
-        },
-        "counter-based per-link medium streams"}},
-      {"medium_spatial_index",
-       {[](TestbedConfig& c, const std::string& v) {
-          c.medium_spatial_index = parse_bool(v, "medium_spatial_index");
-        },
-        "spatial-grid receiver culling (implies per-link streams)"}},
       {"obstacle_index",
        {[](TestbedConfig& c, const std::string& v) {
           c.obstacle_index = parse_bool(v, "obstacle_index");

@@ -26,24 +26,16 @@ std::uint64_t hash_combine(std::uint64_t h, std::uint64_t v) {
 
 Medium::Medium(sim::Scheduler& sched, sim::RandomStream rng, ChannelModel channel)
     : sched_{sched},
-      shadow_rng_{rng.child("shadowing")},
-      per_rng_{rng.child("per")},
       link_rng_{rng.child("link")},
       channel_{std::move(channel)},
-      per_link_{channel_.per_link_streams || channel_.spatial_index},
       last_reindex_{sched.now()},
       reindex_period_{channel_.reindex_period > sim::SimTime::zero() ? channel_.reindex_period
-                                                                     : kDefaultReindexPeriod} {
-  channel_.per_link_streams = per_link_;  // spatial_index implies per-link draws
-  // Enables the legacy-path NLOS memo; the per-link path already memoizes
-  // the full loss (walls included) in its epoch-validated budget cache.
-  obstacle_model_ = dynamic_cast<const ObstacleShadowingModel*>(channel_.path_loss.get());
-}
+                                                                     : kDefaultReindexPeriod} {}
 
 Medium::~Medium() = default;
 
 void Medium::ensure_grid(const RadioConfig& first_cfg) {
-  if (grid_ || !channel_.spatial_index) return;
+  if (grid_) return;
   // Derive the cell from the power floor: one cell spans roughly one
   // hearing radius, so a query visits a 3x3-ish neighbourhood. Radios
   // attached later with bigger budgets just query more cells; correctness
@@ -56,7 +48,6 @@ void Medium::ensure_grid(const RadioConfig& first_cfg) {
 }
 
 void Medium::attach(Radio* radio) {
-  radios_.push_back(radio);
   std::uint32_t slot_id;
   if (!free_slots_.empty()) {
     slot_id = free_slots_.back();
@@ -83,14 +74,11 @@ void Medium::attach(Radio* radio) {
     // A bigger peak receive gain widens every transmitter's hearing range.
     for (Slot& s : slots_) s.cull_radius_m = -1.0;
   }
-  if (channel_.spatial_index) {
-    ensure_grid(radio->config());
-    grid_->insert(slot_id, slot.pos);
-  }
+  ensure_grid(radio->config());
+  grid_->insert(slot_id, slot.pos);
 }
 
 void Medium::detach(Radio* radio) {
-  std::erase(radios_, radio);
   const std::uint32_t slot_id = radio->medium_slot();
   if (slot_id >= slots_.size() || slots_[slot_id].radio != radio) return;  // never attached here
   Slot& slot = slots_[slot_id];
@@ -108,7 +96,7 @@ void Medium::detach(Radio* radio) {
   // completion callback may touch the dead radio.
   for (Transmission* t : slot.own) t->tx = nullptr;
 
-  if (grid_) grid_->remove(slot_id, slot.pos);
+  grid_->remove(slot_id, slot.pos);
   slot.radio = nullptr;
   slot.active.clear();
   slot.own.clear();
@@ -152,17 +140,11 @@ double Medium::slot_cull_radius_m(Slot& slot) {
   return slot.cull_radius_m;
 }
 
-double Medium::cull_radius_m(const Radio& tx) const {
-  const double budget = tx.config().tx_power_dbm + tx.config().antenna_gain_dbi +
-                        max_antenna_gain_dbi_ - channel_.power_floor_dbm;
-  return invert_range_m(budget);
-}
-
 geo::Vec2 Medium::refresh_slot(std::uint32_t slot_id) {
   Slot& slot = slots_[slot_id];
   const geo::Vec2 now_pos = slot.radio->position();
   if (!(now_pos == slot.pos)) {
-    if (grid_) grid_->move(slot_id, slot.pos, now_pos);
+    grid_->move(slot_id, slot.pos, now_pos);
     slot.pos = now_pos;
     ++slot.epoch;  // any movement invalidates this endpoint's cached budgets
   }
@@ -170,7 +152,7 @@ geo::Vec2 Medium::refresh_slot(std::uint32_t slot_id) {
 }
 
 void Medium::maybe_reindex() {
-  if (!grid_ || sched_.now() - last_reindex_ < reindex_period_) return;
+  if (sched_.now() - last_reindex_ < reindex_period_) return;
   for (std::uint32_t id = 0; id < slots_.size(); ++id) {
     if (slots_[id].radio != nullptr) refresh_slot(id);
   }
@@ -196,33 +178,6 @@ double Medium::cached_budget_dbm(std::uint32_t tx_slot, std::uint32_t rx_slot) {
   return entry.mean_dbm;
 }
 
-double Medium::legacy_mean_dbm(Radio* tx, std::uint32_t tx_slot, Radio* rx,
-                               std::uint32_t rx_slot) {
-  if (obstacle_model_ == nullptr) return mean_rx_power_dbm(*tx, *rx);
-  // refresh_slot is grid-agnostic: with no spatial grid it only re-records
-  // the position and bumps the epoch, which is exactly the invalidation
-  // signal the memo needs.
-  const geo::Vec2 tx_pos = refresh_slot(tx_slot);
-  const geo::Vec2 rx_pos = refresh_slot(rx_slot);
-  const std::uint64_t key = (static_cast<std::uint64_t>(tx_slot) << 32) | rx_slot;
-  auto [it, inserted] = nlos_cache_.try_emplace(key);
-  CachedNlos& entry = it->second;
-  const Slot& ts = slots_[tx_slot];
-  const Slot& rs = slots_[rx_slot];
-  if (!inserted && entry.tx_epoch == ts.epoch && entry.rx_epoch == rs.epoch) {
-    ++stats_.nlos_memo_hits;
-  } else {
-    ++stats_.nlos_memo_misses;
-    const ObstacleShadowingModel::LossDepth ld = obstacle_model_->loss_and_depth(tx_pos, rx_pos);
-    entry.tx_epoch = ts.epoch;
-    entry.rx_epoch = rs.epoch;
-    entry.loss_db = ld.loss_db;
-    entry.depth = ld.depth;
-  }
-  return tx->config().tx_power_dbm + tx->config().antenna_gain_dbi +
-         rx->config().antenna_gain_dbi - entry.loss_db;
-}
-
 std::uint64_t Medium::link_key(std::uint64_t tx_mac, std::uint64_t rx_mac,
                                std::uint64_t seq) const {
   return hash_combine(hash_combine(hash_combine(0, tx_mac), rx_mac), seq);
@@ -245,8 +200,7 @@ void Medium::release_transmission(const std::shared_ptr<Transmission>& t) {
 }
 
 void Medium::begin_transmission(Radio* tx, Frame frame, std::size_t psdu_bytes) {
-  std::shared_ptr<Transmission> t = per_link_ ? acquire_transmission()
-                                              : std::make_shared<Transmission>();
+  std::shared_ptr<Transmission> t = acquire_transmission();
   t->tx = tx;
   t->tx_slot = tx->medium_slot();
   t->frame = std::move(frame);
@@ -257,56 +211,10 @@ void Medium::begin_transmission(Radio* tx, Frame frame, std::size_t psdu_bytes) 
   t->end = sched_.now() + frame_airtime(psdu_bytes, tx->config().mcs);
   tx_fault_db_ = faults_ ? faults_->radio_attenuation_db("medium") : 0.0;
 
-  if (per_link_) {
-    begin_transmission_per_link(t);
-  } else {
-    begin_transmission_legacy(t);
-  }
-  slots_[t->tx_slot].own.push_back(t.get());
-
-  ++stats_.frames_transmitted;
-  sched_.post_at(t->end, [this, t] { finish_transmission(t); });
-}
-
-void Medium::begin_transmission_legacy(const std::shared_ptr<Transmission>& t) {
-  // Prune transmissions that can no longer overlap anything new.
-  std::erase_if(transmissions_, [&](const auto& other) { return other->end <= sched_.now(); });
-
-  Radio* tx = t->tx;
-  t->receivers.reserve(radios_.size() > 0 ? radios_.size() - 1 : 0);
-  t->rx_power_dbm.reserve(t->receivers.capacity());
-
-  for (Radio* rx : radios_) {
-    if (rx == tx) continue;
-    double p = legacy_mean_dbm(tx, t->tx_slot, rx, rx->medium_slot());
-    if (channel_.shadowing_sigma_db > 0) {
-      p += shadow_rng_.normal(0.0, channel_.shadowing_sigma_db);
-    }
-    if (channel_.fading == FadingModel::Nakagami) {
-      // Unit-mean gamma power gain with shape m.
-      const double gain = shadow_rng_.gamma(channel_.nakagami_m, 1.0 / channel_.nakagami_m);
-      p += mw_to_dbm(std::max(gain, 1e-9));
-    }
-    p -= tx_fault_db_;  // after the draws: the fault never shifts the stream
-    const auto index = static_cast<std::uint32_t>(t->receivers.size());
-    t->receivers.push_back(rx);
-    t->rx_power_dbm.push_back(p);
-    slots_[rx->medium_slot()].active.push_back(ActiveRx{t.get(), index});
-    if (p >= rx->config().cs_threshold_dbm) rx->on_cs_busy_delta(+1);
-  }
-
-  transmissions_.push_back(t);
-}
-
-void Medium::begin_transmission_per_link(const std::shared_ptr<Transmission>& t) {
   maybe_reindex();
   const geo::Vec2 tx_pos = refresh_slot(t->tx_slot);
-
-  double radius = std::numeric_limits<double>::infinity();
-  if (grid_) {
-    radius = slot_cull_radius_m(slots_[t->tx_slot]);
-  }
-  if (grid_ && std::isfinite(radius)) {
+  const double radius = slot_cull_radius_m(slots_[t->tx_slot]);
+  if (std::isfinite(radius)) {
     // Recorded positions can be up to one reindex period stale; pad the
     // query so a station moving at the speed bound cannot slip out of the
     // visited cells while still being audible.
@@ -319,7 +227,7 @@ void Medium::begin_transmission_per_link(const std::shared_ptr<Transmission>& t)
     // so culling cannot reorder deliveries within one finish event.
     std::sort(scratch_candidates_.begin(), scratch_candidates_.end());
     for (const std::uint32_t rx_slot : scratch_candidates_) {
-      admit_receiver_per_link(t, rx_slot);
+      admit_receiver(t, rx_slot);
     }
     // Radios outside the visited cells are below the power floor by
     // construction; fold them into the below-sensitivity drop count in one
@@ -329,18 +237,22 @@ void Medium::begin_transmission_per_link(const std::shared_ptr<Transmission>& t)
     stats_.dropped_below_sensitivity += culled;
     stats_.culled_below_floor += culled;
   } else {
+    // The path-loss model cannot bound a hearing radius: visit everyone.
     for (std::uint32_t rx_slot = 0; rx_slot < slots_.size(); ++rx_slot) {
       if (slots_[rx_slot].radio == nullptr || rx_slot == t->tx_slot) continue;
-      admit_receiver_per_link(t, rx_slot);
+      admit_receiver(t, rx_slot);
     }
   }
+  slots_[t->tx_slot].own.push_back(t.get());
+
+  ++stats_.frames_transmitted;
+  sched_.post_at(t->end, [this, t] { finish_transmission(t); });
 }
 
-void Medium::admit_receiver_per_link(const std::shared_ptr<Transmission>& t,
-                                     std::uint32_t rx_slot) {
+void Medium::admit_receiver(const std::shared_ptr<Transmission>& t, std::uint32_t rx_slot) {
   refresh_slot(rx_slot);
-  // Fault attenuation folds into the deterministic budget (the per-link
-  // draws are counter-keyed, so floor-culling faulted links is safe).
+  // Fault attenuation folds into the deterministic budget (the draws are
+  // counter-keyed, so floor-culling faulted links is safe).
   const double mean = cached_budget_dbm(t->tx_slot, rx_slot) - tx_fault_db_;
   if (mean < channel_.power_floor_dbm) {
     ++stats_.dropped_below_sensitivity;
@@ -386,21 +298,6 @@ void Medium::admit_receiver_per_link(const std::shared_ptr<Transmission>& t,
   if (p >= rx.radio->config().cs_threshold_dbm) rx.radio->on_cs_busy_delta(+1);
 }
 
-double Medium::interference_mw(const Transmission& t, Radio* rx) const {
-  double sum = 0.0;
-  for (const auto& other : transmissions_) {
-    if (other.get() == &t) continue;
-    if (other->start >= t.end || other->end <= t.start) continue;  // no overlap
-    for (std::size_t i = 0; i < other->receivers.size(); ++i) {
-      if (other->receivers[i] == rx) {
-        sum += dbm_to_mw(other->rx_power_dbm[i]);
-        break;
-      }
-    }
-  }
-  return sum;
-}
-
 void Medium::remove_active(Slot& slot, const Transmission* t, std::uint32_t index) {
   for (ActiveRx& a : slot.active) {
     if (a.t == t && a.index == index) {
@@ -417,44 +314,6 @@ void Medium::finish_transmission(const std::shared_ptr<Transmission>& t) {
     std::erase(tx_slot.own, t.get());
     t->tx->on_tx_complete();
   }
-  if (per_link_) {
-    finish_transmission_per_link(t);
-  } else {
-    finish_transmission_legacy(t);
-  }
-}
-
-void Medium::finish_transmission_legacy(const std::shared_ptr<Transmission>& t) {
-  const double noise_mw = dbm_to_mw(noise_floor_dbm(0.0));
-  for (std::size_t i = 0; i < t->receivers.size(); ++i) {
-    Radio* rx = t->receivers[i];
-    if (rx == nullptr) continue;  // detached mid-flight
-    remove_active(slots_[rx->medium_slot()], t.get(), static_cast<std::uint32_t>(i));
-    const double power_dbm = t->rx_power_dbm[i];
-    if (power_dbm >= rx->config().cs_threshold_dbm) rx->on_cs_busy_delta(-1);
-
-    if (power_dbm < rx->config().rx_sensitivity_dbm) {
-      ++stats_.dropped_below_sensitivity;
-      continue;
-    }
-    if (rx->was_transmitting_during(t->start, t->end)) {
-      ++stats_.dropped_half_duplex;
-      continue;
-    }
-    const double rx_noise_mw = noise_mw * db_to_ratio(rx->config().noise_figure_db);
-    const double sinr_mw = dbm_to_mw(power_dbm) / (rx_noise_mw + interference_mw(*t, rx));
-    const double sinr_db = mw_to_dbm(sinr_mw);
-    const double per = packet_error_rate(sinr_db, t->psdu_bytes, t->mcs);
-    if (per_rng_.bernoulli(per)) {
-      ++stats_.dropped_error;
-      continue;
-    }
-    ++stats_.deliveries;
-    rx->deliver(t->frame, RxInfo{power_dbm, sinr_db, sched_.now(), t->frame.src_mac});
-  }
-}
-
-void Medium::finish_transmission_per_link(const std::shared_ptr<Transmission>& t) {
   const double noise_mw = dbm_to_mw(noise_floor_dbm(0.0));
   for (std::size_t i = 0; i < t->receivers.size(); ++i) {
     // Re-read every iteration: a delivery callback may detach a later

@@ -132,8 +132,6 @@ CitySpec parse_city_spec(const std::string& text) {
       spec.shadowing_sigma_db = parse_spec_double(value, key);
     } else if (key == "tx_power_dbm") {
       spec.tx_power_dbm = parse_spec_double(value, key);
-    } else if (key == "spatial_index") {
-      spec.spatial_index = parse_spec_bool(value, key);
     } else if (key == "obstacle_index") {
       spec.obstacle_index = parse_spec_bool(value, key);
     } else if (key == "power_floor_dbm") {
@@ -174,7 +172,6 @@ std::vector<std::pair<std::string, std::string>> city_spec_keys() {
       {"path_loss_exponent", "log-distance channel exponent"},
       {"shadowing_sigma_db", "log-normal shadowing sigma"},
       {"tx_power_dbm", "station transmit power"},
-      {"spatial_index", "grid receiver culling (PR 3 medium)"},
       {"obstacle_index", "ray-index building walls (off = brute-force scan)"},
       {"power_floor_dbm", "per-link out-of-range floor"},
   };
@@ -217,7 +214,6 @@ std::string format_city_spec(const CitySpec& spec) {
   num("path_loss_exponent", spec.path_loss_exponent);
   num("shadowing_sigma_db", spec.shadowing_sigma_db);
   num("tx_power_dbm", spec.tx_power_dbm);
-  boolean("spatial_index", spec.spatial_index);
   boolean("obstacle_index", spec.obstacle_index);
   num("power_floor_dbm", spec.power_floor_dbm);
   return out.str();
@@ -416,8 +412,6 @@ CityScenario::CityScenario(CitySpec spec)
     channel.path_loss = std::move(obstacles);
   }
   channel.shadowing_sigma_db = spec_.shadowing_sigma_db;
-  channel.per_link_streams = spec_.spatial_index;
-  channel.spatial_index = spec_.spatial_index;
   channel.power_floor_dbm = spec_.power_floor_dbm;
   channel.max_station_speed_mps =
       std::max(50.0, 2.0 * (spec_.vehicle_speed_mps + spec_.vehicle_speed_jitter_mps));

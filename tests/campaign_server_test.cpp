@@ -9,8 +9,10 @@
 
 #include <unistd.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "rst/core/config_io.hpp"
@@ -373,15 +375,56 @@ TEST(CampaignEngine, BadSpecIsAnErrorNotACrash) {
 }
 
 TEST(CampaignEngine, RemovedPartitionKeyIsAnErrorNotASilentRun) {
-  // A stored spec from before the partitioned engine was retired must not
-  // run serially under its old name; it is rejected as an unknown key.
+  // A stored spec from before the partitioned engine and the medium mode
+  // switches were retired must not run under its old name; it is rejected
+  // as an unknown key.
+  for (const std::string line : {"medium_partitions = 4", "medium_spatial_index = true"}) {
+    CampaignEngine engine{{}};
+    CampaignRequest old_spec = small_campaign();
+    old_spec.spec = std::string{kSpec} + line + "\n";
+    const CampaignOutcome out = engine.execute(old_spec);
+    EXPECT_EQ(out.status, CampaignOutcome::Status::Error) << line;
+    EXPECT_NE(out.error.find(line.substr(0, line.find(' '))), std::string::npos) << line;
+    EXPECT_EQ(engine.trials_executed(), 0u) << line;
+  }
+}
+
+TEST(CampaignEngine, BehaviourFingerprintPinsCodeVersion) {
+  // Stored trials are keyed by (spec, seed, kCodeVersion). If a change
+  // alters what a trial produces but leaves the version string alone, an
+  // existing ResultStore serves stale records as cache hits. Pin the
+  // records of three small campaigns — the paper defaults, CPM with the
+  // liveness watchdog, and the degraded fault plan — next to the version.
+  constexpr std::string_view kPinnedVersion = "rst-campaign/1";
+  constexpr std::uint64_t kPinnedFingerprint = 0x5ea86f70dd599bd6ULL;
+  const char* const specs[] = {
+      "",
+      "cpm_enable = true\nwatchdog = true\nwatchdog_timeout_ms = 400\n",
+      "fault = node-down:obu:500:3500:1\n"
+      "fault = radio-attenuation:medium:500:3500:25\n"
+      "watchdog = true\nwatchdog_timeout_ms = 400\n"
+      "failsafe_speed_mps = 0.35\nenable_lidar_aeb = true\n",
+  };
   CampaignEngine engine{{}};
-  CampaignRequest old_spec = small_campaign();
-  old_spec.spec = std::string{kSpec} + "medium_partitions = 4\n";
-  const CampaignOutcome out = engine.execute(old_spec);
-  EXPECT_EQ(out.status, CampaignOutcome::Status::Error);
-  EXPECT_NE(out.error.find("medium_partitions"), std::string::npos);
-  EXPECT_EQ(engine.trials_executed(), 0u);
+  std::uint64_t fingerprint = fnv1a("");
+  for (const char* spec : specs) {
+    CampaignRequest request;
+    request.spec = spec;
+    request.trials = 3;
+    request.base_seed = 1;
+    const CampaignOutcome out = engine.execute(request);
+    ASSERT_EQ(out.status, CampaignOutcome::Status::Ok) << out.error;
+    fingerprint = fnv1a(out.artifact, fingerprint);
+  }
+  if (kCodeVersion == kPinnedVersion) {
+    EXPECT_EQ(fingerprint, kPinnedFingerprint)
+        << "trial records changed: bump server::kCodeVersion, then re-pin kPinnedVersion and "
+           "kPinnedFingerprint (now 0x"
+        << std::hex << fingerprint << ")";
+  } else {
+    ADD_FAILURE() << "server::kCodeVersion moved: re-pin kPinnedVersion to \"" << kCodeVersion
+                  << "\" and kPinnedFingerprint to 0x" << std::hex << fingerprint;
+  }
 }
 
 TEST(CampaignEngine, BoundedQueueRejectsOverload) {

@@ -10,6 +10,7 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "rst/scenario/city.hpp"
 
@@ -102,10 +103,15 @@ TEST(CitySpecFormat, FormatParseRoundTrips) {
 }
 
 TEST(CitySpecFormat, RemovedMediumKeysAreUnknown) {
-  // The partition count and the grid cell override no longer exist: a spec
-  // still naming them must fail loud instead of running without them.
-  for (const std::string key : {"partitions", "grid_cell_m"}) {
-    EXPECT_THROW((void)scenario::parse_city_spec(key + " = 4\n"), std::invalid_argument) << key;
+  // The partition count, the grid cell override and the culling switch no
+  // longer exist: a spec still naming them (with a value the old key
+  // accepted) must fail loud instead of running without them.
+  const std::pair<std::string, std::string> removed[] = {
+      {"partitions", "4"}, {"grid_cell_m", "4"}, {"spatial_index", "true"}};
+  for (const auto& [key, value] : removed) {
+    EXPECT_THROW((void)scenario::parse_city_spec(key + " = " + value + "\n"),
+                 std::invalid_argument)
+        << key;
     for (const auto& [known, help] : scenario::city_spec_keys()) EXPECT_NE(known, key);
   }
 }

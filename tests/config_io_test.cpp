@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "rst/core/config_io.hpp"
 
 namespace rst::core {
@@ -62,11 +65,17 @@ TEST(ConfigIo, UnknownKeyAndBadValuesThrow) {
 }
 
 TEST(ConfigIo, RemovedMediumKnobsAreUnknownKeys) {
-  // The partition count and the grid cell override no longer exist: a spec
-  // still naming them must fail loud instead of running without them.
-  for (const std::string key : {"medium_partitions", "medium_grid_cell_m"}) {
+  // The partition count, the grid cell override and the medium mode
+  // switches no longer exist: a spec still naming them (with a value the
+  // old key accepted) must fail loud instead of running without them.
+  const std::pair<std::string, std::string> removed[] = {{"medium_partitions", "4"},
+                                                         {"medium_grid_cell_m", "4"},
+                                                         {"medium_per_link_streams", "true"},
+                                                         {"medium_spatial_index", "true"}};
+  for (const auto& [key, value] : removed) {
     TestbedConfig config;
-    EXPECT_THROW((void)apply_config_overrides(config, key + " = 4\n"), std::invalid_argument)
+    EXPECT_THROW((void)apply_config_overrides(config, key + " = " + value + "\n"),
+                 std::invalid_argument)
         << key;
     for (const auto& [known, help] : config_override_keys()) EXPECT_NE(known, key);
   }

@@ -63,7 +63,6 @@ TEST(MediumAlloc, SpatialTransmitPathIsAllocationFreeInSteadyState) {
   ChannelModel channel;
   channel.path_loss = std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(2.8));
   channel.shadowing_sigma_db = 3.0;
-  channel.spatial_index = true;
   channel.power_floor_dbm = -95.0;
   Medium medium{sched, rng.child("medium"), channel};
 

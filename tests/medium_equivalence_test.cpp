@@ -1,14 +1,16 @@
-// Property: with per-link streams, enabling the spatial index must not
-// change any observable outcome. The grid may only skip links whose
-// deterministic budget is already below the power floor — links the
-// full fan-out drops anyway — so delivery logs (including the exact RSSI
-// and SINR bits) and medium statistics must match between the two modes
-// on any topology, static or moving.
+// Property: the medium's receiver culling must not change any observable
+// outcome. The grid may only skip links whose deterministic budget is
+// already below the power floor — links the full fan-out drops anyway — so
+// delivery logs (including the exact RSSI and SINR bits) and medium
+// statistics must match between a culled run and a run of the same model
+// behind UnculledPathLoss (which forces the full fan-out) on any topology,
+// static or moving.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,7 @@
 #include "rst/dot11p/radio.hpp"
 #include "rst/sim/random.hpp"
 #include "rst/sim/scheduler.hpp"
+#include "unculled_path_loss.hpp"
 
 namespace rst::dot11p {
 namespace {
@@ -57,7 +60,7 @@ struct Topology {
 
 /// Topology draws happen outside the scenario so both runs consume
 /// identical randomness. Roughly half the area spans well beyond the cull
-/// radius implied by the floor, so the grid genuinely skips links.
+/// radius implied by the floor, so the culled run genuinely skips links.
 Topology make_topology(std::uint64_t seed) {
   sim::RandomStream rng{seed, "equiv_topo"};
   Topology topo;
@@ -87,16 +90,21 @@ struct RunResult {
   Medium::Stats stats;
 };
 
-RunResult run_scenario(const Topology& topo, std::uint64_t seed, bool spatial) {
+/// The channel of both runs: the real model, or the same model behind the
+/// oracle decorator when `unculled`.
+std::shared_ptr<const PathLossModel> path_loss(double exponent, bool unculled) {
+  auto model = std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(exponent));
+  if (!unculled) return model;
+  return std::make_shared<UnculledPathLoss>(std::move(model));
+}
+
+RunResult run_scenario(const Topology& topo, std::uint64_t seed, bool unculled) {
   sim::Scheduler sched;
   sim::RandomStream rng{seed, "equiv_run"};
 
   ChannelModel channel;
-  channel.path_loss =
-      std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(topo.path_loss_exponent));
+  channel.path_loss = path_loss(topo.path_loss_exponent, unculled);
   channel.shadowing_sigma_db = topo.shadowing_sigma_db;
-  channel.per_link_streams = true;
-  channel.spatial_index = spatial;
   channel.power_floor_dbm = topo.power_floor_dbm;
   Medium medium{sched, rng.child("medium"), channel};
 
@@ -144,8 +152,8 @@ TEST(MediumEquivalence, SpatialIndexNeverChangesOutcomes) {
   int topologies_with_culling = 0;
   for (std::uint64_t seed = 1; seed <= 220; ++seed) {
     const Topology topo = make_topology(seed);
-    const RunResult off = run_scenario(topo, seed, /*spatial=*/false);
-    const RunResult on = run_scenario(topo, seed, /*spatial=*/true);
+    const RunResult off = run_scenario(topo, seed, /*unculled=*/true);
+    const RunResult on = run_scenario(topo, seed, /*unculled=*/false);
 
     ASSERT_EQ(off.logs, on.logs) << "delivery logs diverged at seed " << seed;
     EXPECT_EQ(off.stats.frames_transmitted, on.stats.frames_transmitted) << seed;
@@ -153,18 +161,31 @@ TEST(MediumEquivalence, SpatialIndexNeverChangesOutcomes) {
     EXPECT_EQ(off.stats.dropped_half_duplex, on.stats.dropped_half_duplex) << seed;
     EXPECT_EQ(off.stats.dropped_below_sensitivity, on.stats.dropped_below_sensitivity) << seed;
     EXPECT_EQ(off.stats.dropped_error, on.stats.dropped_error) << seed;
-    // Floor culling is a property of the link budget, not of the index:
-    // both modes must agree on how many links never cleared the floor.
+    // Floor culling is a property of the link budget, not of the grid:
+    // both runs must agree on how many links never cleared the floor.
     EXPECT_EQ(off.stats.culled_below_floor, on.stats.culled_below_floor) << seed;
-    // Cache counters are deliberately excluded: the grid evaluates fewer
-    // budgets, so hit/miss totals legitimately differ between modes.
-    if (on.stats.culled_below_floor > 0) ++topologies_with_culling;
+    // Cache counters are not compared: the grid skips budget lookups, so
+    // hit/miss totals legitimately differ. That difference is the proof
+    // that the grid (not only the per-link floor check) skipped links.
+    const auto lookups = [](const Medium::Stats& s) {
+      return s.budget_cache_hits + s.budget_cache_misses;
+    };
+    EXPECT_LE(lookups(on.stats), lookups(off.stats)) << seed;
+    if (lookups(on.stats) < lookups(off.stats)) ++topologies_with_culling;
   }
-  // The property is vacuous if no topology ever culled a link.
+  // The property is vacuous if the grid never skipped a link.
   EXPECT_GT(topologies_with_culling, 50);
 }
 
-class MediumDetach : public ::testing::TestWithParam<bool> {};
+/// Whether a run uses the medium's grid culling or, behind
+/// UnculledPathLoss, the full fan-out.
+enum class Fanout { Culled, Unculled };
+
+void PrintTo(Fanout fanout, std::ostream* os) {
+  *os << (fanout == Fanout::Culled ? "culled" : "unculled");
+}
+
+class MediumDetach : public ::testing::TestWithParam<Fanout> {};
 
 TEST_P(MediumDetach, MidFlightDetachSettlesCarrierSenseAndKeepsDelivering) {
   // A transmits; while the frame is in the air, B detaches. B's
@@ -173,10 +194,8 @@ TEST_P(MediumDetach, MidFlightDetachSettlesCarrierSenseAndKeepsDelivering) {
   sim::Scheduler sched;
   sim::RandomStream rng{42, "detach_test"};
   ChannelModel channel;
-  channel.path_loss = std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(2.0));
+  channel.path_loss = path_loss(2.0, GetParam() == Fanout::Unculled);
   channel.shadowing_sigma_db = 0.0;
-  channel.per_link_streams = GetParam();
-  channel.spatial_index = GetParam();
   Medium medium{sched, rng.child("medium"), channel};
 
   auto make = [&](const char* name, geo::Vec2 pos) {
@@ -214,10 +233,8 @@ TEST_P(MediumDetach, TransmitterDetachMidFlightStillPropagates) {
   sim::Scheduler sched;
   sim::RandomStream rng{43, "detach_tx_test"};
   ChannelModel channel;
-  channel.path_loss = std::make_shared<LogDistanceModel>(LogDistanceModel::its_g5(2.0));
+  channel.path_loss = path_loss(2.0, GetParam() == Fanout::Unculled);
   channel.shadowing_sigma_db = 0.0;
-  channel.per_link_streams = GetParam();
-  channel.spatial_index = GetParam();
   Medium medium{sched, rng.child("medium"), channel};
 
   auto make = [&](const char* name, geo::Vec2 pos) {
@@ -242,7 +259,8 @@ TEST_P(MediumDetach, TransmitterDetachMidFlightStillPropagates) {
   EXPECT_EQ(medium.stats().deliveries, 1u);
 }
 
-INSTANTIATE_TEST_SUITE_P(LegacyAndSpatial, MediumDetach, ::testing::Bool());
+INSTANTIATE_TEST_SUITE_P(CulledAndUnculled, MediumDetach,
+                         ::testing::Values(Fanout::Culled, Fanout::Unculled));
 
 }  // namespace
 }  // namespace rst::dot11p

@@ -297,14 +297,16 @@ TEST(ObstacleIndex, EmergencyBrakeTablesIdenticalIndexOnOff) {
   EXPECT_EQ(core::format_table3(on), core::format_table3(off));
 }
 
-TEST(ObstacleIndex, LegacyNlosMemoServesStaticPairsAndInvalidatesOnMotion) {
+TEST(Medium, BudgetCacheServesStaticPairsAndInvalidatesOnMotion) {
+  // The (tx, rx) budget cache memoizes the full loss, wall walk included,
+  // and must drop exactly the pairs whose endpoint moved.
   sim::Scheduler sched;
-  sim::RandomStream rng{7, "nlos_memo"};
+  sim::RandomStream rng{7, "budget_cache"};
   dot11p::ChannelModel channel;
   std::vector<Wall> walls{{{50.0, -20.0}, {50.0, 20.0}, 15.0}};
   channel.path_loss = std::make_shared<ObstacleShadowingModel>(
       std::make_unique<dot11p::LogDistanceModel>(dot11p::LogDistanceModel::its_g5(2.2)), walls);
-  dot11p::Medium medium{sched, rng.child("medium"), channel};  // legacy path
+  dot11p::Medium medium{sched, rng.child("medium"), channel};
 
   geo::Vec2 mover{100.0, 50.0};
   std::vector<std::unique_ptr<dot11p::Radio>> radios;
@@ -327,18 +329,22 @@ TEST(ObstacleIndex, LegacyNlosMemoServesStaticPairsAndInvalidatesOnMotion) {
     sched.run();
   };
 
+  // Every link clears the power floor, so no pair is culled before its
+  // budget lookup.
   beacon_round();  // 3 tx x 2 rx: six distinct pairs, all cold
-  EXPECT_EQ(medium.stats().nlos_memo_misses, 6u);
-  EXPECT_EQ(medium.stats().nlos_memo_hits, 0u);
+  EXPECT_EQ(medium.stats().culled_below_floor, 0u);
+  EXPECT_EQ(medium.stats().budget_cache_misses, 6u);
+  EXPECT_EQ(medium.stats().budget_cache_hits, 0u);
 
-  beacon_round();  // nobody moved: every wall walk is memoized
-  EXPECT_EQ(medium.stats().nlos_memo_misses, 6u);
-  EXPECT_EQ(medium.stats().nlos_memo_hits, 6u);
+  beacon_round();  // nobody moved: every budget (and wall walk) is cached
+  EXPECT_EQ(medium.stats().budget_cache_misses, 6u);
+  EXPECT_EQ(medium.stats().budget_cache_hits, 6u);
 
   mover = {120.0, 50.0};  // motion bumps the slot epoch on next refresh
   beacon_round();  // the four mover pairs recompute, the static pair hits
-  EXPECT_EQ(medium.stats().nlos_memo_misses, 10u);
-  EXPECT_EQ(medium.stats().nlos_memo_hits, 8u);
+  EXPECT_EQ(medium.stats().budget_cache_misses, 10u);
+  EXPECT_EQ(medium.stats().budget_cache_hits, 8u);
+  EXPECT_EQ(medium.stats().culled_below_floor, 0u);
 }
 
 TEST(ObstacleIndex, CitySpecRoundTripsObstacleIndexKnob) {
