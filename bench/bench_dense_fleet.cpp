@@ -25,7 +25,7 @@
 #include "rst/dot11p/radio.hpp"
 #include "rst/sim/random.hpp"
 #include "rst/sim/scheduler.hpp"
-#include "unculled_path_loss.hpp"
+#include "../tests/unculled_path_loss.hpp"
 
 namespace {
 
@@ -43,12 +43,25 @@ struct RunStats {
   std::uint64_t rx_total{0};
 };
 
+struct OutcomeCounter {
+  const char* name;
+  std::uint64_t dot11p::Medium::Stats::*field;
+};
 /// Outcome counters the two lanes must agree on.
+constexpr OutcomeCounter kOutcomeCounters[] = {
+    {"frames_transmitted", &dot11p::Medium::Stats::frames_transmitted},
+    {"deliveries", &dot11p::Medium::Stats::deliveries},
+    {"dropped_half_duplex", &dot11p::Medium::Stats::dropped_half_duplex},
+    {"dropped_below_sensitivity", &dot11p::Medium::Stats::dropped_below_sensitivity},
+    {"dropped_error", &dot11p::Medium::Stats::dropped_error},
+    {"culled_below_floor", &dot11p::Medium::Stats::culled_below_floor},
+};
+
 bool same_outcomes(const dot11p::Medium::Stats& a, const dot11p::Medium::Stats& b) {
-  return a.frames_transmitted == b.frames_transmitted && a.deliveries == b.deliveries &&
-         a.dropped_half_duplex == b.dropped_half_duplex &&
-         a.dropped_below_sensitivity == b.dropped_below_sensitivity &&
-         a.dropped_error == b.dropped_error && a.culled_below_floor == b.culled_below_floor;
+  for (const OutcomeCounter& c : kOutcomeCounters) {
+    if (a.*c.field != b.*c.field) return false;
+  }
+  return true;
 }
 
 RunStats run_fleet(std::size_t n, bool spatial) {
@@ -144,9 +157,14 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(spatial.medium.deliveries),
                 static_cast<unsigned long long>(spatial.medium.culled_below_floor));
     if (linear_lane && !same_outcomes(linear.medium, spatial.medium)) {
-      std::printf("  !! culled and unculled lanes disagree: deliveries %llu vs %llu\n",
-                  static_cast<unsigned long long>(linear.medium.deliveries),
-                  static_cast<unsigned long long>(spatial.medium.deliveries));
+      std::printf("  !! culled and unculled lanes disagree:\n");
+      for (const OutcomeCounter& c : kOutcomeCounters) {
+        const std::uint64_t unculled = linear.medium.*c.field;
+        const std::uint64_t culled = spatial.medium.*c.field;
+        std::printf("     %-26s unculled %14llu  culled %14llu%s\n", c.name,
+                    static_cast<unsigned long long>(unculled),
+                    static_cast<unsigned long long>(culled), unculled != culled ? "  differs" : "");
+      }
       return 1;
     }
     if (spatial.rx_total != spatial.medium.deliveries) {

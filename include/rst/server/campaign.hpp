@@ -13,7 +13,7 @@ namespace rst::server {
 /// artifacts from older code then stop matching instead of serving stale
 /// bytes. The repo's bit-reproducibility guarantee is what makes this a
 /// sufficient cache key: same spec + same seed + same code ⇒ same bytes.
-inline constexpr std::string_view kCodeVersion = "rst-campaign/1";
+inline constexpr std::string_view kCodeVersion = "rst-campaign/2";
 
 /// FNV-1a over a byte string, continuing from `h` (so keys compose:
 /// fnv1a(b, fnv1a(a)) hashes a||b).

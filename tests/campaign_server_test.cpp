@@ -393,10 +393,13 @@ TEST(CampaignEngine, BehaviourFingerprintPinsCodeVersion) {
   // Stored trials are keyed by (spec, seed, kCodeVersion). If a change
   // alters what a trial produces but leaves the version string alone, an
   // existing ResultStore serves stale records as cache hits. Pin the
-  // records of three small campaigns — the paper defaults, CPM with the
-  // liveness watchdog, and the degraded fault plan — next to the version.
-  constexpr std::string_view kPinnedVersion = "rst-campaign/1";
-  constexpr std::uint64_t kPinnedFingerprint = 0x5ea86f70dd599bd6ULL;
+  // records of four small campaigns — the paper defaults, CPM with the
+  // liveness watchdog, the degraded fault plan, and a power floor above the
+  // testbed's few-metre link budget — next to the version. The defaults
+  // never bring a testbed link near the floor or the sensitivity, so the
+  // last spec is the one that moves when the medium's culling rule changes.
+  constexpr std::string_view kPinnedVersion = "rst-campaign/2";
+  constexpr std::uint64_t kPinnedFingerprint = 0x52555e39c143e999ULL;
   const char* const specs[] = {
       "",
       "cpm_enable = true\nwatchdog = true\nwatchdog_timeout_ms = 400\n",
@@ -404,6 +407,7 @@ TEST(CampaignEngine, BehaviourFingerprintPinsCodeVersion) {
       "fault = radio-attenuation:medium:500:3500:25\n"
       "watchdog = true\nwatchdog_timeout_ms = 400\n"
       "failsafe_speed_mps = 0.35\nenable_lidar_aeb = true\n",
+      "medium_power_floor_dbm = -20\n",
   };
   CampaignEngine engine{{}};
   std::uint64_t fingerprint = fnv1a("");
