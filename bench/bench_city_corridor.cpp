@@ -10,14 +10,19 @@
 // and the final determinism section proves it by re-running the sweep on
 // one thread.
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "rst/core/experiment.hpp"
 #include "rst/scenario/city.hpp"
+#include "../tests/brute_force_obstacles.hpp"
 
 namespace {
 
@@ -27,23 +32,36 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(std::chrono::steady_clock::now() - t0).count();
 }
 
-/// Coverage raster wall-clock for one obstacle-index setting, best of
-/// `reps` so scheduler noise cannot fake a regression. Returns the map
-/// fingerprint and index engagement through the out-params.
-double raster_ms(const scenario::CitySpec& spec, int reps, std::uint64_t* fingerprint,
-                 std::uint64_t* index_queries) {
-  double best = 1e300;
+/// One lane of the obstacle scaling curve: best-of-`reps` wall-clock of one
+/// `query` per link, so scheduler noise cannot fake a regression, plus an
+/// FNV-1a fingerprint of the bitwise answers (loss bits, then depth).
+struct LaneResult {
+  double ms{1e300};
+  std::uint64_t fingerprint{0};
+};
+
+template <typename Query>
+LaneResult time_lane(const std::vector<std::pair<geo::Vec2, geo::Vec2>>& links, int reps,
+                     Query&& query) {
+  LaneResult out;
   for (int r = 0; r < reps; ++r) {
-    scenario::CityScenario city{spec};
-    const double step = 4.0 * static_cast<double>(spec.blocks_x * spec.blocks_x) / 16.0;
+    std::uint64_t fp = 1469598103934665603ull;
+    const auto mix = [&fp](std::uint64_t v) {
+      for (int byte = 0; byte < 8; ++byte) {
+        fp ^= (v >> (8 * byte)) & 0xffu;
+        fp *= 1099511628211ull;
+      }
+    };
     const auto t0 = std::chrono::steady_clock::now();
-    const auto map = scenario::measure_coverage(city, 0, step);
-    const double ms = wall_ms_since(t0);
-    if (ms < best) best = ms;
-    *fingerprint = map.fingerprint();
-    *index_queries = city.obstacles() != nullptr ? city.obstacles()->index_queries() : 0;
+    for (const auto& [tx, rx] : links) {
+      const dot11p::ObstacleShadowingModel::LossDepth ld = query(tx, rx);
+      mix(std::bit_cast<std::uint64_t>(ld.loss_db));
+      mix(ld.depth);
+    }
+    out.ms = std::min(out.ms, wall_ms_since(t0));
+    out.fingerprint = fp;
   }
-  return best;
+  return out;
 }
 
 }  // namespace
@@ -186,12 +204,14 @@ int main(int argc, char** argv) {
 
   // --- Obstacle index: walls vs wall-clock scaling curve --------------------
   //
-  // One coverage raster per scale, indexed vs brute-force, over cities
-  // whose building count grows linearly with the scale while the raster
-  // step grows to hold the sample count roughly constant — so the curve
-  // isolates the per-query wall-scan cost. Fingerprints must match bit for
-  // bit at every scale, the counters must prove the indexed path really
-  // ran, and at the top scale the index must win by >= 3x (the CI gate).
+  // Per scale, the (RSU, raster-point) links of one coverage raster, queried
+  // through the indexed model and through the brute-force test oracle
+  // (tests/brute_force_obstacles.hpp), over cities whose building count
+  // grows linearly with the scale while the raster step grows to hold the
+  // link count roughly constant — so the curve isolates the per-query
+  // wall-scan cost. Answers must match bit for bit at every scale, the
+  // counter must prove the indexed lane really walked the index, and at the
+  // top scale the index must win by >= 3x (the CI gate).
   {
     std::printf("\n=== Obstacle index scaling (up to %ldx buildings) ===\n", buildings_scale);
     std::printf("  %7s  %6s  %10s  %10s  %8s\n", "scale", "walls", "indexed ms", "brute ms",
@@ -209,28 +229,35 @@ int main(int argc, char** argv) {
       os.blocks_y = side;
       os.vehicles = 0;
       os.max_rsus = 1;
-      std::uint64_t fp_indexed = 0;
-      std::uint64_t fp_brute = 0;
-      std::uint64_t queries_indexed = 0;
-      std::uint64_t queries_brute = 0;
-      os.obstacle_index = true;
-      const double ms_indexed = raster_ms(os, 3, &fp_indexed, &queries_indexed);
-      os.obstacle_index = false;
-      const double ms_brute = raster_ms(os, 3, &fp_brute, &queries_brute);
-      const double speedup = ms_brute / ms_indexed;
-      const std::size_t walls = static_cast<std::size_t>(side) * side * 4;
-      std::printf("  %6ldx  %6zu  %10.2f  %10.2f  %7.2fx\n", scale, walls, ms_indexed, ms_brute,
-                  speedup);
-      check("indexed/brute coverage fingerprints identical", fp_indexed == fp_brute);
-      check("indexed raster engaged the ray index", queries_indexed > 0);
-      check("brute raster never touched the index", queries_brute == 0);
+      scenario::CityScenario city{os};
+      const dot11p::ObstacleShadowingModel& model = *city.obstacles();
+      const double step = 4.0 * static_cast<double>(side * side) / 16.0;
+      const auto map = scenario::measure_coverage(city, 0, step);
+      std::vector<std::pair<geo::Vec2, geo::Vec2>> links;
+      links.reserve(map.samples.size());
+      for (const auto& sample : map.samples) links.emplace_back(map.rsu_pos, sample.pos);
+
+      const std::uint64_t queries_before = model.index_queries();
+      const LaneResult indexed = time_lane(
+          links, 3, [&](geo::Vec2 tx, geo::Vec2 rx) { return model.loss_and_depth(tx, rx); });
+      const std::uint64_t lane_queries = model.index_queries() - queries_before;
+      const auto base = dot11p::LogDistanceModel::its_g5(os.path_loss_exponent);
+      const LaneResult brute = time_lane(links, 3, [&](geo::Vec2 tx, geo::Vec2 rx) {
+        return dot11p::brute_force_loss_and_depth(base, model.walls(), tx, rx);
+      });
+      const double speedup = brute.ms / indexed.ms;
+      std::printf("  %6ldx  %6zu  %10.2f  %10.2f  %7.2fx\n", scale, model.walls().size(),
+                  indexed.ms, brute.ms, speedup);
+      check("indexed/oracle link fingerprints identical",
+            indexed.fingerprint == brute.fingerprint);
+      check("indexed lane engaged the ray index", lane_queries > 0);
       if (scale >= top_scale) {
         top_scale = scale;
         top_speedup = speedup;
       }
     }
     // The >= 3x acceptance gate only makes sense once the wall count
-    // dwarfs the per-sample fixed costs; it engages from the 256x scale
+    // dwarfs the per-query fixed costs; it engages from the 256x scale
     // (16384 walls, the CI bench lane's setting) where the margin is
     // comfortably past noise. Smaller sweeps still enforce the
     // fingerprint and engagement checks at every scale.

@@ -11,6 +11,7 @@
 #include "rst/its/network/geonet.hpp"
 #include "rst/core/testbed.hpp"
 #include "rst/sim/scheduler.hpp"
+#include "../tests/brute_force_obstacles.hpp"
 
 #include <cmath>
 #include <functional>
@@ -209,9 +210,9 @@ BENCHMARK(BM_MediumBroadcast)->Arg(2)->Arg(16)->Arg(64)->Arg(256)->Arg(1024);
 void BM_ObstacleLoss(benchmark::State& state) {
   // One ObstacleShadowingModel::loss_db evaluation over a square building
   // grid (four walls per building). Args: wall count in {16, 256, 4096},
-  // indexed (1) vs brute-force (0), deep-NLOS diagonal (1) vs short LOS
-  // street ray (0). The indexed/brute answers are bit-identical (checked
-  // here per run); only the wall-clock should move.
+  // the indexed model (1) vs the brute-force test oracle (0), deep-NLOS
+  // diagonal (1) vs short LOS street ray (0). The two answers are
+  // bit-identical (checked here per run); only the wall-clock should move.
   const auto n_walls = static_cast<std::size_t>(state.range(0));
   const bool indexed = state.range(1) != 0;
   const bool deep_nlos = state.range(2) != 0;
@@ -234,24 +235,24 @@ void BM_ObstacleLoss(benchmark::State& state) {
 
   auto base = std::make_unique<rst::dot11p::LogDistanceModel>(
       rst::dot11p::LogDistanceModel::its_g5(2.8));
-  const rst::dot11p::ObstacleShadowingModel model{std::move(base), walls, indexed};
-  auto check_base = std::make_unique<rst::dot11p::LogDistanceModel>(
-      rst::dot11p::LogDistanceModel::its_g5(2.8));
-  const rst::dot11p::ObstacleShadowingModel check{std::move(check_base), std::move(walls),
-                                                  !indexed};
+  const auto oracle_base = rst::dot11p::LogDistanceModel::its_g5(2.8);
+  const rst::dot11p::ObstacleShadowingModel model{std::move(base), walls};
 
   // Deep NLOS: the full-map diagonal crosses every building row. LOS: a
   // short hop along the open street between building rows.
   const rst::geo::Vec2 tx = deep_nlos ? rst::geo::Vec2{0.0, 0.0} : rst::geo::Vec2{0.0, 5.0};
   const rst::geo::Vec2 rx =
       deep_nlos ? rst::geo::Vec2{extent, extent} : rst::geo::Vec2{90.0, 5.0};
-  if (model.loss_db(tx, rx) != check.loss_db(tx, rx)) {
+  const auto oracle_loss = [&] {
+    return rst::dot11p::brute_force_loss_and_depth(oracle_base, walls, tx, rx).loss_db;
+  };
+  if (model.loss_db(tx, rx) != oracle_loss()) {
     state.SkipWithError("indexed/brute obstacle loss diverged");
     return;
   }
 
   for (auto _ : state) {
-    benchmark::DoNotOptimize(model.loss_db(tx, rx));
+    benchmark::DoNotOptimize(indexed ? model.loss_db(tx, rx) : oracle_loss());
   }
   state.SetItemsProcessed(state.iterations());
 }

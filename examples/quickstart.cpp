@@ -1,11 +1,12 @@
 // Quickstart: assemble the default scale testbed, run one emergency-braking
-// trial and print the step-by-step latency breakdown (the measurement chain
-// of the paper's Fig. 4).
+// trial, list its typed trace events and print the step-by-step latency
+// breakdown (the measurement chain of the paper's Fig. 4).
 //
 // Build & run:  ./examples/quickstart [seed]
 
 #include <cstdio>
 #include <cstdlib>
+#include <string_view>
 
 #include "rst/core/testbed.hpp"
 
@@ -14,11 +15,25 @@ int main(int argc, char** argv) {
   config.seed = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 1;
 
   rst::core::TestbedScenario scenario{config};
-  scenario.trace().set_echo(true);  // watch the chain unfold
 
   std::printf("=== Emergency-braking trial (seed %llu) ===\n",
               static_cast<unsigned long long>(config.seed));
   const rst::core::TrialResult r = scenario.run_emergency_brake_trial();
+
+  // The chain as it unfolded: every typed trace event in recording order
+  // (b/e = span begin/end, i = instant; payload fields per Stage).
+  const auto& events = scenario.trace().events();
+  std::printf("--- Trace: %zu typed events ---\n", events.size());
+  for (const rst::sim::TraceEvent& ev : events) {
+    const std::string_view stage = rst::sim::stage_name(ev.stage);
+    const char phase = ev.phase == rst::sim::Phase::Begin ? 'b'
+                       : ev.phase == rst::sim::Phase::End ? 'e'
+                                                          : 'i';
+    std::printf("[%12.3f ms] %c %-18.*s station=%-4u a=%llu value=%g detail=%u\n",
+                ev.when.to_milliseconds(), phase, static_cast<int>(stage.size()), stage.data(),
+                static_cast<unsigned>(ev.station), static_cast<unsigned long long>(ev.a),
+                ev.value, static_cast<unsigned>(ev.detail));
+  }
 
   if (!r.stopped_by_denm) {
     std::printf("Trial failed: the vehicle did not stop via DENM.\n");

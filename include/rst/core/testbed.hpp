@@ -99,9 +99,6 @@ struct TestbedConfig {
   double path_loss_exponent{2.1};
   double shadowing_sigma_db{2.0};
   std::vector<dot11p::Wall> walls{};
-  /// Ray-index the walls (geo::ObstacleGrid); off keeps the brute-force
-  /// wall scan. Results are bit-identical either way.
-  bool obstacle_index{true};
 
   /// Link budget (dBm) below which a link is out of range (README "Scaling
   /// the medium").

@@ -91,26 +91,25 @@ struct Wall {
 /// Decorates a base model with obstacle (NLOS) losses from wall segments.
 ///
 /// City-scale obstacle maps (the scenario generator emits four walls per
-/// building) make this the inner loop of every link-budget evaluation. By
-/// default the walls are held in a `geo::ObstacleGrid` ray index: a query
-/// walks only the grid cells along the tx-rx ray, deduplicates the walls it
-/// finds there and applies the same bounding-box reject and exact
-/// `segments_intersect` test, in the same ascending-wall order, as the
-/// brute-force scan — so `loss_db`/`is_nlos`/`walls_crossed` are
-/// bit-identical to the O(walls) path at O(cells-along-ray) cost
-/// (obstacle_index_test proves it on random soups and adversarial rays).
-/// `use_index = false` keeps the brute-force scan, as the equivalence
-/// baseline and for tiny wall sets.
+/// building) make this the inner loop of every link-budget evaluation. The
+/// walls are held in a `geo::ObstacleGrid` ray index: a query walks only the
+/// grid cells along the tx-rx ray, deduplicates the walls it finds there and
+/// applies a bounding-box reject and the exact `segments_intersect` test in
+/// ascending wall order — so `loss_db`/`is_nlos`/`walls_crossed` are
+/// bit-identical to an O(walls) scan in index order at O(cells-along-ray)
+/// cost. obstacle_index_test proves it against the brute-force oracle in
+/// tests/brute_force_obstacles.hpp on random soups, adversarial rays and
+/// every link of a small city and the walled testbed.
 ///
 /// The index is immutable after construction and queries use per-thread
-/// scratch only, so the medium's domain-parallel phases may evaluate link
-/// budgets through this model concurrently without locks.
+/// scratch only, so several threads may query one model at once without
+/// locks.
 class ObstacleShadowingModel final : public PathLossModel {
  public:
   /// `index_cell_m == 0` derives the grid cell size from the wall geometry
   /// (`geo::ObstacleGrid::derive_cell_size`).
   ObstacleShadowingModel(std::unique_ptr<PathLossModel> base, std::vector<Wall> walls,
-                         bool use_index = true, double index_cell_m = 0.0);
+                         double index_cell_m = 0.0);
   ~ObstacleShadowingModel() override;
   [[nodiscard]] double loss_db(geo::Vec2 tx, geo::Vec2 rx) const override;
   /// Walls only ever add loss, so the base model's bound stays valid.
@@ -131,12 +130,10 @@ class ObstacleShadowingModel final : public PathLossModel {
   [[nodiscard]] LossDepth loss_and_depth(geo::Vec2 tx, geo::Vec2 rx) const;
 
   [[nodiscard]] const std::vector<Wall>& walls() const { return walls_; }
-  [[nodiscard]] bool index_enabled() const { return grid_ != nullptr; }
-  /// Null when the model runs brute force.
+  /// The ray index; null only for an empty wall set.
   [[nodiscard]] const geo::ObstacleGrid* index() const { return grid_.get(); }
   /// Queries served through the ray index so far — the engagement proof for
-  /// benches and CI (relaxed counter: queries may come from domain-phase
-  /// workers). Always 0 in brute-force mode.
+  /// benches and CI (a relaxed counter, so concurrent queries may bump it).
   [[nodiscard]] std::uint64_t index_queries() const {
     return index_queries_.load(std::memory_order_relaxed);
   }
@@ -152,7 +149,7 @@ class ObstacleShadowingModel final : public PathLossModel {
   std::unique_ptr<PathLossModel> base_;
   std::vector<Wall> walls_;
   std::vector<WallBox> boxes_;  // parallel to walls_
-  std::unique_ptr<const geo::ObstacleGrid> grid_;  // null = brute force
+  std::unique_ptr<const geo::ObstacleGrid> grid_;  // null = no walls
   mutable std::atomic<std::uint64_t> index_queries_{0};
 };
 

@@ -40,10 +40,10 @@ struct Segment {
 /// O(segments).
 ///
 /// The structure is immutable after construction: queries touch only const
-/// data plus per-thread scratch, so concurrent readers (the medium's
-/// domain-parallel phases) need no locks. Steady-state queries are
-/// allocation-free once each querying thread's scratch has reached its
-/// high-water capacity (obstacle_alloc_test).
+/// data plus per-thread scratch, so several threads may query one grid at
+/// once without locks. Steady-state queries are allocation-free once each
+/// querying thread's scratch has reached its high-water capacity
+/// (obstacle_alloc_test).
 class ObstacleGrid {
  public:
   /// `cell_size_m == 0` derives a size from the segment geometry
@@ -138,9 +138,9 @@ class ObstacleGrid {
     }
   }
 
-  /// Per-thread candidate scratch: queries from concurrent domain-phase
-  /// workers never share it, and it keeps its high-water capacity so warmed
-  /// threads stop allocating.
+  /// Per-thread candidate scratch: concurrent querying threads never share
+  /// it, and it keeps its high-water capacity so warmed threads stop
+  /// allocating.
   [[nodiscard]] static std::vector<std::uint32_t>& query_scratch();
   static void dedup_ascending(std::vector<std::uint32_t>& ids);
 

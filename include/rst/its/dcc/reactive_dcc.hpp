@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <string>
 
 #include "rst/dot11p/frame.hpp"
 #include "rst/dot11p/radio.hpp"
@@ -43,13 +42,14 @@ struct ReactiveDccConfig {
 /// radio, enforcing the per-state minimum gap. Four priority queues (DCC
 /// profiles DP0..DP3, mapped from the access category) so that DENMs (DP0)
 /// preempt CAMs when the channel is congested. Queued packets older than
-/// their lifetime are dropped.
+/// their lifetime are dropped. Every state change is traced as
+/// Stage::DccState under `station` (a = new state, detail = direction).
 class ReactiveDcc {
  public:
   using Config = ReactiveDccConfig;
 
   ReactiveDcc(sim::Scheduler& sched, dot11p::Radio& radio, ChannelProbe& probe, Config config = {},
-              sim::Trace* trace = nullptr, std::string name = "dcc");
+              sim::Trace* trace = nullptr, std::uint32_t station = 0);
   ~ReactiveDcc();
   ReactiveDcc(const ReactiveDcc&) = delete;
   ReactiveDcc& operator=(const ReactiveDcc&) = delete;
@@ -82,6 +82,7 @@ class ReactiveDcc {
   };
 
   void try_dequeue();
+  void trace_state_change(std::uint16_t direction);
   [[nodiscard]] static std::size_t profile_of(dot11p::AccessCategory ac) {
     return static_cast<std::size_t>(ac);  // DP0..DP3 <-> AC_VO..AC_BK
   }
@@ -90,7 +91,7 @@ class ReactiveDcc {
   dot11p::Radio& radio_;
   Config config_;
   sim::Trace* trace_;
-  std::string name_;
+  std::uint32_t station_;
 
   DccState state_{DccState::Relaxed};
   int below_windows_{0};

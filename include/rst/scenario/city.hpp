@@ -81,10 +81,6 @@ struct CitySpec {
   double path_loss_exponent{3.2};
   double shadowing_sigma_db{0.0};
   double tx_power_dbm{23.0};
-  /// Ray-index the building walls (geo::ObstacleGrid); off falls back to
-  /// the brute-force wall scan. Bit-identical either way — the knob exists
-  /// for equivalence testing and tiny maps.
-  bool obstacle_index{true};
   double power_floor_dbm{-110.0};
 
   geo::GeoPosition origin{41.1780, -8.6080};

@@ -41,6 +41,7 @@ enum class Stage : std::uint8_t {
   CpmTx,              ///< CP service transmitted a CPM (value = object count)
   CpmRx,              ///< CP service received a CPM (a = source station)
   CpmFusion,          ///< remote percept fused into the local LDM (a = object id)
+  DccState,           ///< reactive DCC changed state (a = new state, detail: kDccState*)
 };
 
 /// Chrome trace-event phase of a typed record: a point event or one end of
@@ -63,6 +64,9 @@ inline constexpr std::uint16_t kCampaignRejectedDropOldest = 1;
 /// `TraceEvent::detail` values for Stage::CampaignTrial.
 inline constexpr std::uint16_t kCampaignTrialMiss = 0;
 inline constexpr std::uint16_t kCampaignTrialHit = 1;
+/// `TraceEvent::detail` values for Stage::DccState: the direction of the step.
+inline constexpr std::uint16_t kDccStateUp = 0;
+inline constexpr std::uint16_t kDccStateDown = 1;
 
 /// One typed trace record: a small POD written into the Trace's pre-sized
 /// ring buffer — no strings, no allocation on the recording path. The
@@ -72,7 +76,6 @@ struct TraceEvent {
   SimTime when{};
   std::uint64_t a{0};      ///< packed ActionID / object id / frame number / …
   double value{0.0};       ///< distance (m) / t_cpa (s) / count / …
-  std::uint32_t seq{0};    ///< global recording order (filled by Trace)
   std::uint32_t station{0};///< emitting station id (0 when not station-bound)
   std::uint16_t detail{0}; ///< stage-specific discriminator / flags
   Stage stage{Stage::CameraFrame};

@@ -146,11 +146,6 @@ const std::map<std::string, Entry>& registry() {
               SimTime::milliseconds(parse_int(v, "cpm_redundancy_window_ms"));
         },
         "skip objects a peer announced within this window"}},
-      {"obstacle_index",
-       {[](TestbedConfig& c, const std::string& v) {
-          c.obstacle_index = parse_bool(v, "obstacle_index");
-        },
-        "ray-index the obstacle walls (off = brute-force scan)"}},
       {"medium_power_floor_dbm",
        {[](TestbedConfig& c, const std::string& v) {
           c.medium_power_floor_dbm = parse_double(v, "medium_power_floor_dbm");

@@ -13,8 +13,7 @@ std::unique_ptr<dot11p::PathLossModel> make_path_loss(const TestbedConfig& cfg) 
   auto base = std::make_unique<dot11p::LogDistanceModel>(
       dot11p::LogDistanceModel::its_g5(cfg.path_loss_exponent));
   if (cfg.walls.empty()) return base;
-  return std::make_unique<dot11p::ObstacleShadowingModel>(std::move(base), cfg.walls,
-                                                          cfg.obstacle_index);
+  return std::make_unique<dot11p::ObstacleShadowingModel>(std::move(base), cfg.walls);
 }
 }  // namespace
 

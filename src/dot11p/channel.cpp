@@ -64,15 +64,14 @@ bool segments_intersect(geo::Vec2 a, geo::Vec2 b, geo::Vec2 c, geo::Vec2 d) {
 }
 
 ObstacleShadowingModel::ObstacleShadowingModel(std::unique_ptr<PathLossModel> base,
-                                               std::vector<Wall> walls, bool use_index,
-                                               double index_cell_m)
+                                               std::vector<Wall> walls, double index_cell_m)
     : base_{std::move(base)}, walls_{std::move(walls)} {
   boxes_.reserve(walls_.size());
   for (const auto& w : walls_) {
     boxes_.push_back({std::min(w.a.x, w.b.x), std::min(w.a.y, w.b.y),
                       std::max(w.a.x, w.b.x), std::max(w.a.y, w.b.y)});
   }
-  if (use_index && !walls_.empty()) {
+  if (!walls_.empty()) {
     std::vector<geo::Segment> segments;
     segments.reserve(walls_.size());
     for (const auto& w : walls_) segments.push_back({w.a, w.b});
@@ -94,11 +93,12 @@ struct RayBox {
 }  // namespace
 
 /// Visits the index of every wall crossing ray tx-rx in ascending wall
-/// order, through the grid when enabled or a full scan otherwise. Both
-/// paths apply the same box reject and exact test in the same order, so any
-/// crossing-order-sensitive accumulation downstream is path-invariant.
+/// order: the grid yields candidates ascending, and each gets the box reject
+/// and the exact test, so crossing-order-sensitive accumulation downstream
+/// matches a full scan in index order.
 template <typename OnWall>
 void ObstacleShadowingModel::for_each_crossing(geo::Vec2 tx, geo::Vec2 rx, OnWall&& on_wall) const {
+  if (!grid_) return;
   const RayBox ray{tx, rx};
   const auto crosses = [&](std::size_t i) {
     const auto& box = boxes_[i];
@@ -108,16 +108,10 @@ void ObstacleShadowingModel::for_each_crossing(geo::Vec2 tx, geo::Vec2 rx, OnWal
     }
     return geo::segments_intersect(tx, rx, walls_[i].a, walls_[i].b);
   };
-  if (grid_) {
-    index_queries_.fetch_add(1, std::memory_order_relaxed);
-    grid_->for_each_candidate(tx, rx, [&](std::uint32_t i) {
-      if (crosses(i)) on_wall(static_cast<std::size_t>(i));
-    });
-  } else {
-    for (std::size_t i = 0; i < walls_.size(); ++i) {
-      if (crosses(i)) on_wall(i);
-    }
-  }
+  index_queries_.fetch_add(1, std::memory_order_relaxed);
+  grid_->for_each_candidate(tx, rx, [&](std::uint32_t i) {
+    if (crosses(i)) on_wall(static_cast<std::size_t>(i));
+  });
 }
 
 bool ObstacleShadowingModel::is_nlos(geo::Vec2 tx, geo::Vec2 rx) const {

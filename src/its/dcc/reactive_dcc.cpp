@@ -26,8 +26,8 @@ const std::array<DccStateParams, 5>& default_dcc_table() {
 }
 
 ReactiveDcc::ReactiveDcc(sim::Scheduler& sched, dot11p::Radio& radio, ChannelProbe& probe,
-                         Config config, sim::Trace* trace, std::string name)
-    : sched_{sched}, radio_{radio}, config_{config}, trace_{trace}, name_{std::move(name)} {
+                         Config config, sim::Trace* trace, std::uint32_t station)
+    : sched_{sched}, radio_{radio}, config_{config}, trace_{trace}, station_{station} {
   probe.set_listener([this](double cbr) { on_channel_load(cbr); });
 }
 
@@ -56,19 +56,24 @@ void ReactiveDcc::on_channel_load(double cbr) {
     state_ = target;  // congestion: react immediately
     below_windows_ = 0;
     ++stats_.state_changes;
-    if (trace_) trace_->record(sched_.now(), name_, std::string{"state up to "} + to_string(state_));
+    trace_state_change(sim::kDccStateUp);
   } else if (target < state_) {
     // Relaxation requires sustained low load (hysteresis), one step at a time.
     if (++below_windows_ >= config_.down_hysteresis_windows) {
       below_windows_ = 0;
       state_ = static_cast<DccState>(static_cast<std::uint8_t>(state_) - 1);
       ++stats_.state_changes;
-      if (trace_) {
-        trace_->record(sched_.now(), name_, std::string{"state down to "} + to_string(state_));
-      }
+      trace_state_change(sim::kDccStateDown);
     }
   } else {
     below_windows_ = 0;
+  }
+}
+
+void ReactiveDcc::trace_state_change(std::uint16_t direction) {
+  if (trace_) {
+    trace_->record_event(sched_.now(), sim::Stage::DccState, station_,
+                         static_cast<std::uint64_t>(state_), 0.0, direction);
   }
 }
 

@@ -132,8 +132,6 @@ CitySpec parse_city_spec(const std::string& text) {
       spec.shadowing_sigma_db = parse_spec_double(value, key);
     } else if (key == "tx_power_dbm") {
       spec.tx_power_dbm = parse_spec_double(value, key);
-    } else if (key == "obstacle_index") {
-      spec.obstacle_index = parse_spec_bool(value, key);
     } else if (key == "power_floor_dbm") {
       spec.power_floor_dbm = parse_spec_double(value, key);
     } else {
@@ -172,7 +170,6 @@ std::vector<std::pair<std::string, std::string>> city_spec_keys() {
       {"path_loss_exponent", "log-distance channel exponent"},
       {"shadowing_sigma_db", "log-normal shadowing sigma"},
       {"tx_power_dbm", "station transmit power"},
-      {"obstacle_index", "ray-index building walls (off = brute-force scan)"},
       {"power_floor_dbm", "per-link out-of-range floor"},
   };
 }
@@ -214,7 +211,6 @@ std::string format_city_spec(const CitySpec& spec) {
   num("path_loss_exponent", spec.path_loss_exponent);
   num("shadowing_sigma_db", spec.shadowing_sigma_db);
   num("tx_power_dbm", spec.tx_power_dbm);
-  boolean("obstacle_index", spec.obstacle_index);
   num("power_floor_dbm", spec.power_floor_dbm);
   return out.str();
 }
@@ -407,7 +403,7 @@ CityScenario::CityScenario(CitySpec spec)
     channel.path_loss = std::shared_ptr<const dot11p::PathLossModel>{std::move(base)};
   } else {
     auto obstacles = std::make_shared<const dot11p::ObstacleShadowingModel>(
-        std::move(base), net_.building_walls, spec_.obstacle_index);
+        std::move(base), net_.building_walls);
     obstacles_ = obstacles.get();
     channel.path_loss = std::move(obstacles);
   }

@@ -161,7 +161,7 @@ BlindIntersectionReport run_blind_intersection(std::uint64_t seed, bool cpm_enab
   const std::vector<dot11p::Wall> walls{{{-2, -2}, {-2, -20}, 15.0},
                                         {{-2, -2}, {-20, -2}, 15.0}};
   channel.path_loss =
-      std::make_shared<const dot11p::ObstacleShadowingModel>(std::move(base), walls, true);
+      std::make_shared<const dot11p::ObstacleShadowingModel>(std::move(base), walls);
   channel.shadowing_sigma_db = 2.0;
   dot11p::Medium medium{sched, rng.child("medium"), std::move(channel)};
   middleware::HttpLan lan{sched, rng.child("lan")};

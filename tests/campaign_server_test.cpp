@@ -375,10 +375,11 @@ TEST(CampaignEngine, BadSpecIsAnErrorNotACrash) {
 }
 
 TEST(CampaignEngine, RemovedPartitionKeyIsAnErrorNotASilentRun) {
-  // A stored spec from before the partitioned engine and the medium mode
-  // switches were retired must not run under its old name; it is rejected
-  // as an unknown key.
-  for (const std::string line : {"medium_partitions = 4", "medium_spatial_index = true"}) {
+  // A stored spec from before the partitioned engine, the medium mode
+  // switches and the obstacle-index switch were retired must not run under
+  // its old name; it is rejected as an unknown key.
+  for (const std::string line :
+       {"medium_partitions = 4", "medium_spatial_index = true", "obstacle_index = false"}) {
     CampaignEngine engine{{}};
     CampaignRequest old_spec = small_campaign();
     old_spec.spec = std::string{kSpec} + line + "\n";

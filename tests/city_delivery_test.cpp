@@ -103,11 +103,14 @@ TEST(CitySpecFormat, FormatParseRoundTrips) {
 }
 
 TEST(CitySpecFormat, RemovedMediumKeysAreUnknown) {
-  // The partition count, the grid cell override and the culling switch no
-  // longer exist: a spec still naming them (with a value the old key
-  // accepted) must fail loud instead of running without them.
-  const std::pair<std::string, std::string> removed[] = {
-      {"partitions", "4"}, {"grid_cell_m", "4"}, {"spatial_index", "true"}};
+  // The partition count, the grid cell override, the culling switch and
+  // the obstacle-index switch no longer exist: a spec still naming them
+  // (with a value the old key accepted) must fail loud instead of running
+  // without them.
+  const std::pair<std::string, std::string> removed[] = {{"partitions", "4"},
+                                                         {"grid_cell_m", "4"},
+                                                         {"spatial_index", "true"},
+                                                         {"obstacle_index", "false"}};
   for (const auto& [key, value] : removed) {
     EXPECT_THROW((void)scenario::parse_city_spec(key + " = " + value + "\n"),
                  std::invalid_argument)

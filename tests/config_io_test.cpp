@@ -65,13 +65,15 @@ TEST(ConfigIo, UnknownKeyAndBadValuesThrow) {
 }
 
 TEST(ConfigIo, RemovedMediumKnobsAreUnknownKeys) {
-  // The partition count, the grid cell override and the medium mode
-  // switches no longer exist: a spec still naming them (with a value the
-  // old key accepted) must fail loud instead of running without them.
+  // The partition count, the grid cell override, the medium mode switches
+  // and the obstacle-index switch no longer exist: a spec still naming them
+  // (with a value the old key accepted) must fail loud instead of running
+  // without them.
   const std::pair<std::string, std::string> removed[] = {{"medium_partitions", "4"},
                                                          {"medium_grid_cell_m", "4"},
                                                          {"medium_per_link_streams", "true"},
-                                                         {"medium_spatial_index", "true"}};
+                                                         {"medium_spatial_index", "true"},
+                                                         {"obstacle_index", "false"}};
   for (const auto& [key, value] : removed) {
     TestbedConfig config;
     EXPECT_THROW((void)apply_config_overrides(config, key + " = " + value + "\n"),

@@ -120,6 +120,44 @@ TEST(ReactiveDcc, StateGoesUpImmediatelyAndDownWithHysteresis) {
   EXPECT_EQ(dcc.state(), DccState::Active2);
 }
 
+TEST(ReactiveDcc, StateChangesAreTracedAsTypedEvents) {
+  Rig rig;
+  auto& radio = rig.add_radio({0, 0});
+  ChannelProbe probe{rig.sched, radio};
+  ReactiveDccConfig config;
+  config.down_hysteresis_windows = 2;
+  sim::Trace trace;
+  ReactiveDcc dcc{rig.sched, radio, probe, config, &trace, 77};
+
+  rig.sched.run_until(10_ms);
+  dcc.on_channel_load(0.45);  // load climb: Relaxed -> Active2 at once
+  dcc.on_channel_load(0.45);  // steady load: no event
+  rig.sched.run_until(20_ms);
+  dcc.on_channel_load(0.05);
+  dcc.on_channel_load(0.05);  // second quiet window: one hysteresis step down
+
+  const auto events = trace.find_all_events(sim::Stage::DccState);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0]->when, 10_ms);
+  EXPECT_EQ(events[0]->station, 77u);
+  EXPECT_EQ(static_cast<DccState>(events[0]->a), DccState::Active2);
+  EXPECT_EQ(events[0]->detail, sim::kDccStateUp);
+  EXPECT_EQ(events[1]->when, 20_ms);
+  EXPECT_EQ(events[1]->station, 77u);
+  EXPECT_EQ(static_cast<DccState>(events[1]->a), DccState::Active1);
+  EXPECT_EQ(events[1]->detail, sim::kDccStateDown);
+  EXPECT_EQ(dcc.stats().state_changes, 2u);
+
+  // A null trace: the same transitions happen and nothing is recorded.
+  ReactiveDcc untraced{rig.sched, radio, probe, config, nullptr, 78};
+  untraced.on_channel_load(0.45);
+  untraced.on_channel_load(0.05);
+  untraced.on_channel_load(0.05);
+  EXPECT_EQ(untraced.state(), DccState::Active1);
+  EXPECT_EQ(untraced.stats().state_changes, 2u);
+  EXPECT_EQ(trace.events().size(), 2u);
+}
+
 TEST(ReactiveDcc, MinGapFollowsState) {
   Rig rig;
   auto& radio = rig.add_radio({0, 0});
@@ -295,7 +333,7 @@ TEST(ReactiveDcc, CongestionRaisesStateAndThrottles) {
   auto& managed = rig.add_radio({0, 0});
   ChannelProbe probe{rig.sched, managed};
   probe.start();
-  ReactiveDcc dcc{rig.sched, managed, probe, {}, nullptr, "dcc"};
+  ReactiveDcc dcc{rig.sched, managed, probe, {}};
 
   std::vector<dot11p::Radio*> loaders;
   for (int i = 0; i < 3; ++i) {

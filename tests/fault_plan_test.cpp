@@ -244,8 +244,10 @@ TEST(FaultPlan, EveryActivationAndRecoveryEmitsATypedSpan) {
     EXPECT_EQ(begins, 1);
     EXPECT_EQ(ends, 1);
   }
-  // The spans render through the legacy string view too.
-  EXPECT_NE(trace.find("fault_injector", "radio-blackout"), nullptr);
+  const TraceEvent* blackout = trace.find_event(Stage::FaultWindow);
+  ASSERT_NE(blackout, nullptr);
+  EXPECT_EQ(static_cast<FaultKind>(blackout->detail), FaultKind::RadioBlackout);
+  EXPECT_EQ(trace.find_event(Stage::FaultWindow, 41_ms), nullptr);
 }
 
 TEST(FaultPlan, StreamsAreDeterministicPerKind) {

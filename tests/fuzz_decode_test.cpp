@@ -243,7 +243,9 @@ TEST_P(FuzzSeeds, ChainedStackSurvivesTruncationCorpus) {
       auto cut = clean;
       cut.resize(len);
       const auto reencoded = chain_decode_reencode(cut);
-      if (!reencoded.empty()) EXPECT_EQ(chain_decode_reencode(reencoded), reencoded);
+      if (!reencoded.empty()) {
+        EXPECT_EQ(chain_decode_reencode(reencoded), reencoded);
+      }
     }
     for (int i = 0; i < 100; ++i) {
       auto cut = clean;
@@ -252,7 +254,9 @@ TEST_P(FuzzSeeds, ChainedStackSurvivesTruncationCorpus) {
           static_cast<std::size_t>(r.uniform_int(0, static_cast<long>(cut.size() - 1)));
       cut[byte] ^= static_cast<std::uint8_t>(1u << r.uniform_int(0, 7));
       const auto reencoded = chain_decode_reencode(cut);
-      if (!reencoded.empty()) EXPECT_EQ(chain_decode_reencode(reencoded), reencoded);
+      if (!reencoded.empty()) {
+        EXPECT_EQ(chain_decode_reencode(reencoded), reencoded);
+      }
     }
   }
 }

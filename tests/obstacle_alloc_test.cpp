@@ -74,8 +74,8 @@ TEST(ObstacleAlloc, IndexedQueryPathIsAllocationFreeInSteadyState) {
     }
   }
   auto base = std::make_unique<LogDistanceModel>(LogDistanceModel::its_g5(2.8));
-  const ObstacleShadowingModel model{std::move(base), std::move(walls), /*use_index=*/true};
-  ASSERT_TRUE(model.index_enabled());
+  const ObstacleShadowingModel model{std::move(base), std::move(walls)};
+  ASSERT_NE(model.index(), nullptr);
 
   // The query mix, worst rays included: the full-map diagonal and the
   // longest axis-aligned streets maximise cells visited and candidates

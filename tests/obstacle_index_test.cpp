@@ -1,27 +1,32 @@
-// PR 8 acceptance suite: the geo::ObstacleGrid ray index is a pure
-// accelerator. Three layers of proof:
+// The geo::ObstacleGrid ray index is a pure accelerator. Three layers of
+// proof:
 //
 //  1. The exact segments_intersect contract is pinned (collinear overlap,
 //     shared endpoints, T-touches, zero-length degenerate segments) before
 //     anything relies on it.
-//  2. Property equivalence: indexed and brute-force ObstacleShadowingModel
-//     answers — is_nlos, walls_crossed and bitwise loss_db — match on ~200
-//     random wall soups and a battery of adversarial rays (collinear with a
-//     wall, endpoint-touching, axis-aligned along a cell boundary,
-//     zero-length), across cell sizes including the derived default.
-//  3. End-to-end: the four city experiment fingerprints are
-//     bit-identical with the index on and off, and the index engagement
-//     counter proves the fast path actually ran.
+//  2. Property equivalence: ObstacleShadowingModel answers — is_nlos,
+//     walls_crossed and bitwise loss_db — match the brute-force oracle
+//     (brute_force_obstacles.hpp) on ~200 random wall soups and a battery of
+//     adversarial rays (collinear with a wall, endpoint-touching,
+//     axis-aligned along a cell boundary, zero-length), across cell sizes
+//     including the derived default.
+//  3. End-to-end: every RSU/vehicle link of a small city at several
+//     simulated times, its coverage raster and the walled testbed's
+//     camera/RSU/OBU links match the oracle bit for bit, the index
+//     engagement counter proves the fast path actually ran, and the city
+//     experiments and testbed tables reproduce the brute-force runs.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <memory>
 #include <random>
+#include <string>
 #include <vector>
 
-#include "rst/core/config_io.hpp"
+#include "brute_force_obstacles.hpp"
 #include "rst/core/experiment.hpp"
 #include "rst/core/testbed.hpp"
 #include "rst/dot11p/channel.hpp"
@@ -80,12 +85,14 @@ TEST(ObstacleIndex, SegmentsIntersectZeroLengthDegeneratesToPoint) {
   EXPECT_FALSE(geo::segments_intersect({3, 3}, {3, 3}, {4, 4}, {4, 4}));
 }
 
-// --- 2. indexed vs brute-force property equivalence ------------------------
+// --- 2. indexed model vs brute-force oracle --------------------------------
 
-std::unique_ptr<ObstacleShadowingModel> make_model(const std::vector<Wall>& walls, bool use_index,
+dot11p::LogDistanceModel soup_base() { return dot11p::LogDistanceModel::its_g5(2.5); }
+
+std::unique_ptr<ObstacleShadowingModel> make_model(const std::vector<Wall>& walls,
                                                    double cell_m = 0.0) {
-  auto base = std::make_unique<dot11p::LogDistanceModel>(dot11p::LogDistanceModel::its_g5(2.5));
-  return std::make_unique<ObstacleShadowingModel>(std::move(base), walls, use_index, cell_m);
+  return std::make_unique<ObstacleShadowingModel>(
+      std::make_unique<dot11p::LogDistanceModel>(soup_base()), walls, cell_m);
 }
 
 /// One wall soup: `n` random segments in a [-extent, extent] square, with a
@@ -153,6 +160,7 @@ std::vector<std::pair<Vec2, Vec2>> adversarial_rays(const std::vector<Wall>& wal
 TEST(ObstacleIndex, IndexedMatchesBruteForceOnRandomSoups) {
   std::mt19937_64 rng{0xc0ffee};
   const double cell_sizes[] = {0.0, 7.0, 25.0, 250.0};  // 0 = derived
+  const dot11p::LogDistanceModel base = soup_base();
   int soups = 0;
   for (int rep = 0; rep < 200; ++rep) {
     const int n = 1 + static_cast<int>(rng() % 64);
@@ -160,26 +168,21 @@ TEST(ObstacleIndex, IndexedMatchesBruteForceOnRandomSoups) {
     const double cell_m = cell_sizes[rep % 4];
     const double boundary_cell = cell_m > 0.0 ? cell_m : 64.0;
     const std::vector<Wall> walls = random_soup(rng, n, extent, boundary_cell);
-    const auto brute = make_model(walls, false);
-    const auto indexed = make_model(walls, true, cell_m);
-    ASSERT_FALSE(brute->index_enabled());
-    ASSERT_TRUE(indexed->index_enabled());
+    const auto indexed = make_model(walls, cell_m);
+    ASSERT_NE(indexed->index(), nullptr);
     ++soups;
     for (const auto& [a, b] : adversarial_rays(walls, rng, extent, boundary_cell)) {
-      const std::size_t brute_crossed = brute->walls_crossed(a, b);
-      const std::size_t index_crossed = indexed->walls_crossed(a, b);
-      ASSERT_EQ(brute_crossed, index_crossed)
+      const auto oracle = dot11p::brute_force_loss_and_depth(base, walls, a, b);
+      ASSERT_EQ(indexed->walls_crossed(a, b), oracle.depth)
           << "soup " << rep << " cell " << cell_m << " ray (" << a.x << "," << a.y << ")->("
           << b.x << "," << b.y << ")";
-      ASSERT_EQ(brute->is_nlos(a, b), indexed->is_nlos(a, b));
-      const double brute_loss = brute->loss_db(a, b);
-      const double index_loss = indexed->loss_db(a, b);
+      ASSERT_EQ(indexed->is_nlos(a, b), oracle.depth > 0);
       // Bitwise: the indexed walk must reproduce the exact accumulation.
-      ASSERT_EQ(brute_loss, index_loss)
-          << "soup " << rep << " cell " << cell_m << " crossed " << brute_crossed;
+      ASSERT_EQ(indexed->loss_db(a, b), oracle.loss_db)
+          << "soup " << rep << " cell " << cell_m << " crossed " << oracle.depth;
       const auto ld = indexed->loss_and_depth(a, b);
-      ASSERT_EQ(ld.loss_db, brute_loss);
-      ASSERT_EQ(ld.depth, brute_crossed);
+      ASSERT_EQ(ld.loss_db, oracle.loss_db);
+      ASSERT_EQ(ld.depth, oracle.depth);
     }
   }
   ASSERT_EQ(soups, 200);
@@ -193,6 +196,7 @@ TEST(ObstacleIndex, GridCandidatesSupersetCrossings) {
   std::vector<geo::Segment> segments;
   for (const Wall& w : walls) segments.push_back({w.a, w.b});
   const geo::ObstacleGrid grid{segments, 16.0};
+  const dot11p::LogDistanceModel base = soup_base();
   std::uniform_real_distribution<double> pos{-220.0, 220.0};
   for (int rep = 0; rep < 500; ++rep) {
     const Vec2 a{pos(rng), pos(rng)};
@@ -202,14 +206,17 @@ TEST(ObstacleIndex, GridCandidatesSupersetCrossings) {
     for (std::size_t i = 1; i < candidates.size(); ++i) {
       ASSERT_LT(candidates[i - 1], candidates[i]) << "not ascending/deduplicated";
     }
-    std::size_t brute_crossings = 0;
-    for (std::uint32_t id = 0; id < segments.size(); ++id) {
-      if (!geo::segments_intersect(a, b, segments[id].a, segments[id].b)) continue;
-      ++brute_crossings;
-      ASSERT_TRUE(std::find(candidates.begin(), candidates.end(), id) != candidates.end())
-          << "crossing wall " << id << " missing from candidate set";
-    }
-    ASSERT_EQ(grid.crossings(a, b), brute_crossings);
+    // Candidates are distinct, so a crossing missing from them would leave
+    // fewer crossing candidates than the oracle counts crossing walls.
+    const auto crossing_candidates =
+        std::count_if(candidates.begin(), candidates.end(), [&](std::uint32_t id) {
+          return geo::segments_intersect(a, b, segments[id].a, segments[id].b);
+        });
+    const std::uint32_t oracle_crossings =
+        dot11p::brute_force_loss_and_depth(base, walls, a, b).depth;
+    ASSERT_EQ(static_cast<std::uint32_t>(crossing_candidates), oracle_crossings)
+        << "a crossing wall is missing from the candidate set";
+    ASSERT_EQ(grid.crossings(a, b), oracle_crossings);
   }
 }
 
@@ -217,8 +224,7 @@ TEST(ObstacleIndex, DerivedCellSizeAndCounters) {
   std::vector<Wall> walls;
   walls.push_back({{0, 0}, {30, 0}, 20.0});
   walls.push_back({{0, 10}, {0, 40}, 20.0});
-  const auto indexed = make_model(walls, true);
-  ASSERT_TRUE(indexed->index_enabled());
+  const auto indexed = make_model(walls);
   ASSERT_NE(indexed->index(), nullptr);
   EXPECT_DOUBLE_EQ(indexed->index()->cell_size_m(), 30.0);  // mean dominant extent
   EXPECT_EQ(indexed->index()->segment_count(), 2u);
@@ -227,20 +233,27 @@ TEST(ObstacleIndex, DerivedCellSizeAndCounters) {
   (void)indexed->loss_db({-5, 5}, {50, 5});
   EXPECT_EQ(indexed->index_queries(), 2u);
 
-  const auto brute = make_model(walls, false);
-  (void)brute->walls_crossed({-5, 5}, {50, 5});
-  EXPECT_EQ(brute->index_queries(), 0u);
-  EXPECT_EQ(brute->index(), nullptr);
-
-  // No walls: nothing to index, brute scan of nothing.
-  const auto empty = make_model({}, true);
-  EXPECT_FALSE(empty->index_enabled());
+  // No walls: nothing to index, nothing crossed, no query counted.
+  const auto empty = make_model({});
+  EXPECT_EQ(empty->index(), nullptr);
   EXPECT_EQ(empty->walls_crossed({0, 0}, {1, 1}), 0u);
+  EXPECT_EQ(empty->index_queries(), 0u);
 }
 
-// --- 3. end-to-end bit-identity --------------------------------------------
+// --- 3. end-to-end: indexed runs reproduce the brute-force runs -------------
+//
+// Each experiment below used to run twice, index on and off, and compare.
+// The brute-force scan now lives only in the oracle, so each test checks the
+// links its experiment measures against the oracle bit for bit, and pins the
+// result the index-off run produced (equal to the index-on result) before the
+// scan left the library.
 
-scenario::CitySpec small_city(bool obstacle_index) {
+constexpr std::uint64_t kBruteForceCoverageFingerprint = 0x3cc58736eab94448ULL;
+constexpr std::uint64_t kBruteForceHandoverFingerprint = 0x91d3059ca8fda6adULL;
+constexpr std::uint64_t kBruteForceCbrSweepFingerprint = 0x4e46d4373501aa85ULL;
+constexpr std::uint64_t kBruteForceDeliveryFingerprint = 0x2a7c68709143ddb3ULL;
+
+scenario::CitySpec small_city() {
   scenario::CitySpec spec;
   spec.seed = 11;
   spec.blocks_x = 3;
@@ -248,53 +261,167 @@ scenario::CitySpec small_city(bool obstacle_index) {
   spec.block_m = 100.0;
   spec.vehicles = 8;
   spec.rsu_every = 3;
-  spec.obstacle_index = obstacle_index;
   return spec;
 }
 
+/// Compares one link against the oracle, bit for bit, through
+/// `loss_and_depth` and through the `loss_db`/`walls_crossed` entry points
+/// the medium and the coverage raster call; counts NLOS links so the caller
+/// can prove the sample is not all line-of-sight.
+::testing::AssertionResult matches_oracle(const ObstacleShadowingModel& model,
+                                          const dot11p::PathLossModel& base, Vec2 tx, Vec2 rx,
+                                          std::size_t& nlos) {
+  const auto got = model.loss_and_depth(tx, rx);
+  const auto want = dot11p::brute_force_loss_and_depth(base, model.walls(), tx, rx);
+  if (want.depth > 0) ++nlos;
+  if (got.loss_db == want.loss_db && got.depth == want.depth &&
+      model.loss_db(tx, rx) == want.loss_db && model.walls_crossed(tx, rx) == want.depth) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "link (" << tx.x << "," << tx.y << ")->(" << rx.x << "," << rx.y << "): indexed "
+         << got.loss_db << " dB / " << got.depth << " walls, oracle " << want.loss_db << " dB / "
+         << want.depth << " walls";
+}
+
+/// The map `measure_coverage` returns when every link goes through the
+/// oracle: the same raster, with receive power and wall count recomputed
+/// from the brute-force scan the way the medium and the raster compute them.
+scenario::CoverageMap oracle_coverage(scenario::CityScenario& city,
+                                      const scenario::CoverageMap& indexed,
+                                      const dot11p::PathLossModel& base) {
+  scenario::CoverageMap map = indexed;
+  const dot11p::RadioConfig& rsu = city.rsu(map.rsu_index).radio().config();
+  const dot11p::RadioConfig probe;
+  std::size_t covered = 0;
+  for (auto& s : map.samples) {
+    const auto want =
+        dot11p::brute_force_loss_and_depth(base, city.obstacles()->walls(), map.rsu_pos, s.pos);
+    s.rssi_dbm = rsu.tx_power_dbm + rsu.antenna_gain_dbi + probe.antenna_gain_dbi - want.loss_db;
+    s.walls_crossed = want.depth;
+    if (s.rssi_dbm >= map.sensitivity_dbm) ++covered;
+  }
+  map.covered_fraction =
+      map.samples.empty() ? 0.0 : static_cast<double>(covered) / map.samples.size();
+  return map;
+}
+
 TEST(ObstacleIndex, CoverageFingerprintIdenticalIndexOnOff) {
-  scenario::CityScenario on{small_city(true)};
-  scenario::CityScenario off{small_city(false)};
-  ASSERT_NE(on.obstacles(), nullptr);
-  ASSERT_TRUE(on.obstacles()->index_enabled());
-  ASSERT_FALSE(off.obstacles()->index_enabled());
-  const auto map_on = scenario::measure_coverage(on, 0, 15.0);
-  const auto map_off = scenario::measure_coverage(off, 0, 15.0);
-  EXPECT_EQ(map_on.fingerprint(), map_off.fingerprint());
-  EXPECT_GT(on.obstacles()->index_queries(), 0u);
-  EXPECT_EQ(off.obstacles()->index_queries(), 0u);
+  scenario::CityScenario city{small_city()};
+  const ObstacleShadowingModel* model = city.obstacles();
+  ASSERT_NE(model, nullptr);
+  ASSERT_NE(model->index(), nullptr);
+  const auto base = dot11p::LogDistanceModel::its_g5(city.spec().path_loss_exponent);
+  std::size_t links = 0;
+  std::size_t nlos = 0;
+  for (std::size_t r = 0; r < city.rsu_count(); ++r) {
+    const auto map = scenario::measure_coverage(city, r, 15.0);
+    for (const auto& sample : map.samples) {
+      ++links;
+      ASSERT_TRUE(matches_oracle(*model, base, map.rsu_pos, sample.pos, nlos));
+    }
+    EXPECT_EQ(map.fingerprint(), oracle_coverage(city, map, base).fingerprint()) << "RSU " << r;
+    if (r == 0) {
+      EXPECT_EQ(map.fingerprint(), kBruteForceCoverageFingerprint);
+    }
+  }
+  EXPECT_GT(model->index_queries(), 0u);
+  // Not a vacuous sample: both line-of-sight and walled links occur.
+  EXPECT_GT(nlos, 0u);
+  EXPECT_LT(nlos, links);
 }
 
 TEST(ObstacleIndex, HandoverFingerprintIdenticalIndexOnOff) {
-  const auto on = scenario::run_handover_experiment(small_city(true), sim::SimTime::seconds(5));
-  const auto off = scenario::run_handover_experiment(small_city(false), sim::SimTime::seconds(5));
-  EXPECT_EQ(on.fingerprint(), off.fingerprint());
+  const auto report = scenario::run_handover_experiment(small_city(), sim::SimTime::seconds(5));
+  EXPECT_EQ(report.fingerprint(), kBruteForceHandoverFingerprint);
+
+  // Every RSU/vehicle pair, both directions, while the city runs.
+  scenario::CityScenario city{small_city()};
+  const ObstacleShadowingModel* model = city.obstacles();
+  ASSERT_NE(model, nullptr);
+  const auto base = dot11p::LogDistanceModel::its_g5(city.spec().path_loss_exponent);
+  std::size_t links = 0;
+  std::size_t nlos = 0;
+  city.start();
+  for (const std::int64_t ms : {0, 1500, 3000, 4500}) {
+    city.scheduler().run_until(sim::SimTime::milliseconds(ms));
+    for (std::size_t r = 0; r < city.rsu_count(); ++r) {
+      for (std::size_t v = 0; v < city.vehicle_count(); ++v) {
+        links += 2;
+        const Vec2 rsu = city.rsu_position(r);
+        const Vec2 vehicle = city.vehicle_position(v);
+        ASSERT_TRUE(matches_oracle(*model, base, rsu, vehicle, nlos)) << "at " << ms << " ms";
+        ASSERT_TRUE(matches_oracle(*model, base, vehicle, rsu, nlos)) << "at " << ms << " ms";
+      }
+    }
+  }
+  EXPECT_GT(model->index_queries(), 0u);
+  EXPECT_GT(nlos, 0u);
+  EXPECT_LT(nlos, links);
 }
 
 TEST(ObstacleIndex, CbrSweepFingerprintIdenticalIndexOnOff) {
   const std::vector<int> densities{4, 8};
-  const auto on = scenario::run_cbr_sweep(small_city(true), densities, sim::SimTime::seconds(2));
-  const auto off = scenario::run_cbr_sweep(small_city(false), densities, sim::SimTime::seconds(2));
-  EXPECT_EQ(scenario::cbr_sweep_fingerprint(on), scenario::cbr_sweep_fingerprint(off));
+  const auto curve = scenario::run_cbr_sweep(small_city(), densities, sim::SimTime::seconds(2));
+  EXPECT_EQ(scenario::cbr_sweep_fingerprint(curve), kBruteForceCbrSweepFingerprint);
 }
 
 TEST(ObstacleIndex, DeliveryFingerprintIdenticalIndexOnOff) {
-  const auto on = scenario::run_delivery_experiment(small_city(true), sim::SimTime::seconds(5));
-  const auto off = scenario::run_delivery_experiment(small_city(false), sim::SimTime::seconds(5));
-  EXPECT_EQ(on.fingerprint(), off.fingerprint());
+  // Every station of this run sits on the corridor street, so its links are
+  // line of sight; the pin guards the NLOS-free path through the index.
+  const auto report = scenario::run_delivery_experiment(small_city(), sim::SimTime::seconds(5));
+  EXPECT_EQ(report.fingerprint(), kBruteForceDeliveryFingerprint);
 }
 
 TEST(ObstacleIndex, EmergencyBrakeTablesIdenticalIndexOnOff) {
+  // The lab testbed with walls between the OBU's track and the roadside
+  // (y = 4 m) and between the camera and the RSU (x = 0.25 m).
   core::TestbedConfig cfg;
-  // A wall between the camera and the OBU so the obstacle model is load-
-  // bearing for the tables, not just constructed.
-  cfg.walls.push_back({{20.0, -5.0}, {20.0, 5.0}, 8.0});
-  cfg.obstacle_index = true;
-  const auto on = core::run_emergency_brake_experiment(cfg, 3, 1);
-  cfg.obstacle_index = false;
-  const auto off = core::run_emergency_brake_experiment(cfg, 3, 1);
-  EXPECT_EQ(core::format_table2(on), core::format_table2(off));
-  EXPECT_EQ(core::format_table3(on), core::format_table3(off));
+  cfg.walls = {{{-2.0, 4.0}, {2.0, 4.0}, 8.0}, {{0.25, 7.0}, {0.25, 9.0}, 6.0}};
+
+  // Tables of the brute-force run with these walls.
+  const std::string brute_table2 =
+      "Table II: Time interval measurements (ms)\n"
+      "  Interval                         run#1  run#2  run#3    Avg\n"
+      "  #2->#3 Detection -> RSU DENM     28.3   25.6   27.9   27.3\n"
+      "  #3->#4 RSU DENM -> OBU recv       0.9    0.7    0.9    0.8\n"
+      "  #4->#5 OBU recv -> actuators     26.2   43.8   26.0   32.0\n"
+      "  Total delay (#2->#5)             55.4   70.2   54.8   60.1\n"
+      "  paper: 27.6 / 1.6 / 29.2 / 58.4 ms avg over 5 runs; all totals < 100 ms\n";
+  const std::string brute_table3 =
+      "Table III: Distance travelled from detection to halt (m)\n"
+      "  run#1: 0.32  run#2: 0.34  run#3: 0.37  \n"
+      "  avg 0.344 m, variance 0.0005 (paper: avg 0.36 m, var 0.0022)\n";
+  const auto walled = core::run_emergency_brake_experiment(cfg, 3, 1);
+  EXPECT_EQ(core::format_table2(walled), brute_table2);
+  EXPECT_EQ(core::format_table3(walled), brute_table3);
+  // The walls shape the trial (they also occlude the camera and lidar):
+  // without them the tables differ.
+  const auto open = core::run_emergency_brake_experiment(core::TestbedConfig{}, 3, 1);
+  EXPECT_NE(core::format_table2(open), brute_table2);
+
+  // The camera/RSU/OBU links of a walled trial, against the oracle.
+  core::TestbedScenario testbed{cfg};
+  const auto* model =
+      dynamic_cast<const ObstacleShadowingModel*>(testbed.medium().channel().path_loss.get());
+  ASSERT_NE(model, nullptr);
+  const auto base = dot11p::LogDistanceModel::its_g5(cfg.path_loss_exponent);
+  std::size_t links = 1;
+  std::size_t nlos = 0;
+  ASSERT_TRUE(matches_oracle(*model, base, cfg.camera_position, cfg.rsu_position, nlos));
+  testbed.start_services();
+  for (std::int64_t ms = 0; ms <= 6000; ms += 250) {
+    testbed.scheduler().run_until(sim::SimTime::milliseconds(ms));
+    const Vec2 obu = testbed.dynamics().position();
+    for (const Vec2 roadside : {cfg.camera_position, cfg.rsu_position}) {
+      links += 2;
+      ASSERT_TRUE(matches_oracle(*model, base, roadside, obu, nlos)) << "at " << ms << " ms";
+      ASSERT_TRUE(matches_oracle(*model, base, obu, roadside, nlos)) << "at " << ms << " ms";
+    }
+  }
+  EXPECT_GT(model->index_queries(), 0u);
+  EXPECT_GT(nlos, 0u);
+  EXPECT_LT(nlos, links);
 }
 
 TEST(Medium, BudgetCacheServesStaticPairsAndInvalidatesOnMotion) {
@@ -345,15 +472,6 @@ TEST(Medium, BudgetCacheServesStaticPairsAndInvalidatesOnMotion) {
   EXPECT_EQ(medium.stats().budget_cache_misses, 10u);
   EXPECT_EQ(medium.stats().budget_cache_hits, 8u);
   EXPECT_EQ(medium.stats().culled_below_floor, 0u);
-}
-
-TEST(ObstacleIndex, CitySpecRoundTripsObstacleIndexKnob) {
-  scenario::CitySpec spec = small_city(false);
-  const std::string text = scenario::format_city_spec(spec);
-  EXPECT_NE(text.find("obstacle_index = false"), std::string::npos);
-  const scenario::CitySpec parsed = scenario::parse_city_spec(text);
-  EXPECT_FALSE(parsed.obstacle_index);
-  EXPECT_TRUE(scenario::parse_city_spec("obstacle_index = true\n").obstacle_index);
 }
 
 }  // namespace

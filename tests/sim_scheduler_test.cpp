@@ -210,39 +210,30 @@ TEST(Scheduler, RescheduleAtSameTimestampFromRunningEventGoesToBatchTail) {
 
 TEST(Trace, RecordAndFilteredLookup) {
   Trace trace;
-  trace.record(1_ms, "den.900", "DENM sent action=900/1");
-  trace.record(2_ms, "den.42", "DENM received action=900/1");
-  trace.record(3_ms, "control", "power cut commanded");
-  trace.record(4_ms, "den.900", "DENM sent action=900/2");
+  trace.record_event(1_ms, Stage::DenmTx, 900, pack_action(900, 1));
+  trace.record_event(2_ms, Stage::DenmRx, 42, pack_action(900, 1));
+  trace.record_event(3_ms, Stage::PowerCutCommand);
+  trace.record_event(4_ms, Stage::DenmTx, 900, pack_action(900, 2));
 
-  ASSERT_EQ(trace.records().size(), 4u);
-  const auto* first_sent = trace.find("den.900", "DENM sent");
+  ASSERT_EQ(trace.events().size(), 4u);
+  const TraceEvent* first_sent = trace.find_event(Stage::DenmTx);
   ASSERT_NE(first_sent, nullptr);
   EXPECT_EQ(first_sent->when, 1_ms);
-  // `from` skips earlier records.
-  const auto* second_sent = trace.find("den.900", "DENM sent", 2_ms);
+  // `from` skips earlier events.
+  const TraceEvent* second_sent = trace.find_event(Stage::DenmTx, 2_ms);
   ASSERT_NE(second_sent, nullptr);
   EXPECT_EQ(second_sent->when, 4_ms);
-  // Substring match on both fields.
-  EXPECT_NE(trace.find("control", "power cut"), nullptr);
-  EXPECT_EQ(trace.find("control", "no such message"), nullptr);
-  EXPECT_EQ(trace.find("nobody", ""), nullptr);
+  EXPECT_EQ(action_sequence(second_sent->a), 2u);
+  EXPECT_NE(trace.find_event(Stage::PowerCutCommand), nullptr);
+  EXPECT_EQ(trace.find_event(Stage::PowerCutCommand, 4_ms), nullptr);
+  EXPECT_EQ(trace.find_event(Stage::EmergencyStop), nullptr);
+  EXPECT_EQ(trace.find_all_events(Stage::DenmTx).size(), 2u);
 
-  const auto all_sent = trace.find_all("den.", "DENM");
-  EXPECT_EQ(all_sent.size(), 3u);
-
+  // clear() empties the buffer and the drop counter.
   trace.clear();
-  EXPECT_TRUE(trace.records().empty());
-}
-
-TEST(Trace, CsvExportEscapesSpecials) {
-  Trace trace;
-  trace.record(1500_us, "den.900", "DENM sent action=900/1");
-  trace.record(2_ms, "note", "contains, comma and \"quotes\"");
-  const std::string csv = trace.to_csv();
-  EXPECT_NE(csv.find("time_ms,component,message\n"), std::string::npos);
-  EXPECT_NE(csv.find("1.500000,den.900,DENM sent action=900/1\n"), std::string::npos);
-  EXPECT_NE(csv.find("\"contains, comma and \"\"quotes\"\"\""), std::string::npos);
+  EXPECT_TRUE(trace.events().empty());
+  EXPECT_EQ(trace.events_dropped(), 0u);
+  EXPECT_EQ(trace.find_event(Stage::DenmTx), nullptr);
 }
 
 }  // namespace

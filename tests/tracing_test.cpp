@@ -54,32 +54,24 @@ TEST(TraceTyped, RingCapacityDropsNewestAndCounts) {
   EXPECT_EQ(trace.events().back().a, 3u);
 }
 
-TEST(TraceTyped, LegacyViewRendersTypedEventsInSequenceOrder) {
+TEST(TraceTyped, EventsKeepRecordingOrderNotTimeOrder) {
+  // The buffer is the recording order: nothing re-sorts it by time, and
+  // lookups return the first match in recording order.
   Trace trace;
-  trace.record(1_ms, "custom", "string record first");
-  trace.record_event(2_ms, Stage::DenmTx, 900, pack_action(900, 1));
-  trace.record_event(3_ms, Stage::DenmRx, 42, pack_action(900, 1));
-  trace.record(4_ms, "custom", "string record last");
+  trace.record_event(3_ms, Stage::DenmTx, 900, pack_action(900, 2));
+  trace.record_event(1_ms, Stage::DenmTx, 900, pack_action(900, 1));
+  trace.record_event(2_ms, Stage::DenmRx, 42, pack_action(900, 1));
 
-  // The merged view interleaves both paths in recording order.
-  const auto& all = trace.records();
-  ASSERT_EQ(all.size(), 4u);
-  EXPECT_EQ(all[0].message, "string record first");
-  EXPECT_EQ(all[1].component, "den.900");
-  EXPECT_EQ(all[1].message, "DENM sent action=900/1");
-  EXPECT_EQ(all[2].component, "den.42");
-  EXPECT_EQ(all[2].message, "DENM received action=900/1");
-  EXPECT_EQ(all[3].message, "string record last");
-
-  // The legacy queries the rest of the codebase uses keep working.
-  EXPECT_NE(trace.find("den.900", "DENM sent"), nullptr);
-  EXPECT_NE(trace.find("den.42", "DENM received"), nullptr);
-  EXPECT_EQ(trace.find_all("den.", "action=900/1").size(), 2u);
-
-  // New recordings invalidate and rebuild the view.
-  trace.record_event(5_ms, Stage::KafForward, 42, pack_action(900, 1));
-  EXPECT_EQ(trace.records().size(), 5u);
-  EXPECT_NE(trace.find("den.42", "keep-alive forwarded"), nullptr);
+  const auto& events = trace.events();
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].when, 3_ms);
+  EXPECT_EQ(events[1].when, 1_ms);
+  EXPECT_EQ(events[2].stage, Stage::DenmRx);
+  EXPECT_EQ(action_sequence(trace.find_event(Stage::DenmTx)->a), 2u);
+  const auto all_tx = trace.find_all_events(Stage::DenmTx);
+  ASSERT_EQ(all_tx.size(), 2u);
+  EXPECT_EQ(all_tx[0], &events[0]);
+  EXPECT_EQ(all_tx[1], &events[1]);
 }
 
 TEST(TraceTyped, SpanPairsRenderAsAsyncChromeEvents) {
@@ -87,7 +79,6 @@ TEST(TraceTyped, SpanPairsRenderAsAsyncChromeEvents) {
   trace.span_begin(1_ms, Stage::DenmPoll, 0, 7);
   trace.span_end(2_ms, Stage::DenmPoll, 0, 7);
   trace.record_event(3_ms, Stage::EmergencyStop);
-  trace.record(4_ms, "custom", "legacy \"quoted\" message");
 
   const std::string json = trace.to_chrome_trace_json();
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
@@ -97,8 +88,6 @@ TEST(TraceTyped, SpanPairsRenderAsAsyncChromeEvents) {
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
   // ts is microseconds.
   EXPECT_NE(json.find("\"ts\":1000"), std::string::npos);
-  // The legacy record rides along with its message escaped.
-  EXPECT_NE(json.find("legacy \\\"quoted\\\" message"), std::string::npos);
 }
 
 /// Minimal structural JSON check: balanced {} / [] outside strings, valid
