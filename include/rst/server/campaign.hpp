@@ -25,6 +25,11 @@ inline constexpr std::string_view kCodeVersion = "rst-campaign/2";
 /// canonical (core::canonicalize_spec) so equivalent spellings collide.
 [[nodiscard]] std::uint64_t trial_key(const std::string& canonical_spec, std::uint64_t seed);
 
+/// trial_key from a precomputed fnv1a(canonical_spec), so a campaign hashes
+/// its spec once and derives every trial's key from that prefix.
+[[nodiscard]] std::uint64_t trial_key_from_spec_hash(std::uint64_t spec_hash,
+                                                     std::uint64_t seed);
+
 /// One campaign submission: a spec in the config_io `key = value` format
 /// (fault clauses ride along as `fault = ...` lines), a trial count and a
 /// base seed. Trial i runs at seed `base_seed + i`; a `seed = ...` line in
@@ -54,9 +59,13 @@ struct TrialRecord {
   core::TrialResult result{};
 };
 
-/// Inverse of serialize_trial_record. Throws std::invalid_argument on a
-/// malformed or incomplete record (a corrupted store entry must fail loud,
-/// not decode into a plausible trial).
+/// Inverse of serialize_trial_record, and exactly as strict: the 17 fields
+/// in serialization order, one space apart, each value spelled as the
+/// serializer spells it (no '+', leading zeros, hex, whitespace or
+/// non-canonical digits), so any record it accepts re-serializes to the
+/// same bytes. Throws std::invalid_argument otherwise (a corrupted store
+/// entry must fail loud, not decode into a plausible trial). Allocates
+/// nothing on success.
 [[nodiscard]] TrialRecord parse_trial_record(const std::string& line);
 
 }  // namespace rst::server

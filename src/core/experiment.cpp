@@ -1,8 +1,9 @@
 #include "rst/core/experiment.hpp"
 
 #include <algorithm>
-#include <cstdio>
+#include <charconv>
 #include <cstdlib>
+#include <string_view>
 #include <thread>
 
 #include "rst/sim/trial_pool.hpp"
@@ -94,31 +95,59 @@ ExperimentSummary aggregate_experiment_summary(std::vector<TrialResult> trials) 
   return summary;
 }
 
+namespace {
+
+/// Appends `v` as printf's "%<width>.<precision>f" does: the standard
+/// defines to_chars' fixed output as printf's in the C locale.
+void append_fixed(std::string& out, double v, int precision, std::size_t width = 0) {
+  char buf[330];  // -DBL_MAX at 4 decimals is 315 bytes
+  const auto len = static_cast<std::size_t>(
+      std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed, precision).ptr - buf);
+  if (len < width) out.append(width - len, ' ');
+  out.append(buf, len);
+}
+
+void append_int(std::string& out, int v) {
+  char buf[16];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Stopped trials shown as table columns.
+int shown_columns(const ExperimentSummary& summary, int max_rows) {
+  int n = 0;
+  for (const auto& t : summary.trials) n += t.stopped_by_denm ? 1 : 0;
+  return std::max(0, std::min(n, max_rows));
+}
+
+}  // namespace
+
 std::string format_table2(const ExperimentSummary& summary, int max_rows) {
+  const int columns = shown_columns(summary, max_rows);
   std::string out;
-  char line[256];
+  // Header and four rows of 7-byte cells, plus labels and the paper line.
+  out.reserve(5 * 7 * static_cast<std::size_t>(columns) + 320);
   out += "Table II: Time interval measurements (ms)\n";
   out += "  Interval                       ";
-  int shown = 0;
-  for (const auto& t : summary.trials) {
-    if (!t.stopped_by_denm || shown >= max_rows) continue;
-    std::snprintf(line, sizeof line, "  run#%d", ++shown);
-    out += line;
+  for (int shown = 1; shown <= columns; ++shown) {
+    out += "  run#";
+    append_int(out, shown);
   }
   out += "    Avg\n";
 
-  const auto row = [&](const char* label, auto getter, const sim::RunningStats& stats) {
-    std::snprintf(line, sizeof line, "  %-30s", label);
-    out += line;
+  const auto row = [&](std::string_view label, auto getter, const sim::RunningStats& stats) {
+    out += "  ";
+    out += label;
+    if (label.size() < 30) out.append(30 - label.size(), ' ');
     int n = 0;
     for (const auto& t : summary.trials) {
-      if (!t.stopped_by_denm || n >= max_rows) continue;
+      if (!t.stopped_by_denm || n >= columns) continue;
       ++n;
-      std::snprintf(line, sizeof line, " %6.1f", getter(t));
-      out += line;
+      out += ' ';
+      append_fixed(out, getter(t), 1, 6);
     }
-    std::snprintf(line, sizeof line, " %6.1f\n", stats.mean());
-    out += line;
+    out += ' ';
+    append_fixed(out, stats.mean(), 1, 6);
+    out += '\n';
   };
   row("#2->#3 Detection -> RSU DENM", [](const TrialResult& t) { return t.meas_detection_to_rsu_ms; },
       summary.detection_to_rsu_ms);
@@ -128,26 +157,29 @@ std::string format_table2(const ExperimentSummary& summary, int max_rows) {
       summary.obu_to_actuator_ms);
   row("Total delay (#2->#5)", [](const TrialResult& t) { return t.meas_total_ms; },
       summary.total_ms);
-  std::snprintf(line, sizeof line,
-                "  paper: 27.6 / 1.6 / 29.2 / 58.4 ms avg over 5 runs; all totals < 100 ms\n");
-  out += line;
+  out += "  paper: 27.6 / 1.6 / 29.2 / 58.4 ms avg over 5 runs; all totals < 100 ms\n";
   return out;
 }
 
 std::string format_table3(const ExperimentSummary& summary, int max_rows) {
+  const int columns = shown_columns(summary, max_rows);
   std::string out;
-  char line[256];
+  out.reserve(16 * static_cast<std::size_t>(columns) + 160);
   out += "Table III: Distance travelled from detection to halt (m)\n  ";
   int n = 0;
   for (const auto& t : summary.trials) {
-    if (!t.stopped_by_denm || n >= max_rows) continue;
-    ++n;
-    std::snprintf(line, sizeof line, "run#%d: %.2f  ", n, t.braking_distance_m);
-    out += line;
+    if (!t.stopped_by_denm || n >= columns) continue;
+    out += "run#";
+    append_int(out, ++n);
+    out += ": ";
+    append_fixed(out, t.braking_distance_m, 2);
+    out += "  ";
   }
-  std::snprintf(line, sizeof line, "\n  avg %.3f m, variance %.4f (paper: avg 0.36 m, var 0.0022)\n",
-                summary.braking_distance_m.mean(), summary.braking_distance_m.population_variance());
-  out += line;
+  out += "\n  avg ";
+  append_fixed(out, summary.braking_distance_m.mean(), 3);
+  out += " m, variance ";
+  append_fixed(out, summary.braking_distance_m.population_variance(), 4);
+  out += " (paper: avg 0.36 m, var 0.0022)\n";
   return out;
 }
 

@@ -142,8 +142,9 @@ CampaignOutcome CampaignEngine::run_campaign(const CampaignRequest& request,
   std::vector<char> done(n, 0);
   std::vector<char> fresh(n, 0);
   std::vector<std::size_t> misses;
+  const std::uint64_t spec_hash = fnv1a(v.canonical);
   for (std::size_t i = 0; i < n; ++i) {
-    keys[i] = trial_key(v.canonical, request.base_seed + i);
+    keys[i] = trial_key_from_spec_hash(spec_hash, request.base_seed + i);
     if (const std::string* stored = store_.get(keys[i])) {
       records[i] = *stored;
       done[i] = 1;

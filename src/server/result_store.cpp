@@ -1,13 +1,12 @@
 #include "rst/server/result_store.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <stdexcept>
 #include <string_view>
-#include <vector>
 
 namespace rst::server {
 
@@ -92,12 +91,20 @@ void ResultStore::append_record(std::uint64_t key, const std::string& value) {
 }
 
 void ResultStore::replay() {
-  std::ifstream in{path_, std::ios::binary};
+  std::ifstream in{path_, std::ios::binary | std::ios::ate};
   if (!in) return;  // no segment yet — first put() creates it
-  std::vector<char> data{std::istreambuf_iterator<char>{in}, std::istreambuf_iterator<char>{}};
-  if (data.empty()) return;
+  // One sized read into one buffer: a reopen costs the records, nothing per byte.
+  const std::streamoff size = in.tellg();
+  if (size < 0) throw std::runtime_error{"ResultStore: cannot size " + path_};
+  if (size == 0) return;
+  const auto buffer = std::make_unique_for_overwrite<char[]>(static_cast<std::size_t>(size));
+  in.seekg(0);
+  if (!in.read(buffer.get(), size)) {
+    throw std::runtime_error{"ResultStore: short read of " + path_};
+  }
+  const std::string_view data{buffer.get(), static_cast<std::size_t>(size)};
   const std::string_view magic{kMagic, sizeof kMagic};
-  const std::string_view head{data.data(), std::min(data.size(), sizeof kMagic)};
+  const std::string_view head = data.substr(0, sizeof kMagic);
   if (head != magic.substr(0, head.size())) {
     throw std::runtime_error{"ResultStore: " + path_ + " is not a result segment"};
   }
@@ -110,9 +117,7 @@ void ResultStore::replay() {
     const std::uint64_t key = get_u64(data.data() + pos);
     const std::uint32_t len = get_u32(data.data() + pos + 8);
     if (pos + 12 + len > data.size()) break;  // torn tail: truncated below
-    std::string value{data.data() + pos + 12, len};
-    const bool inserted = index_.insert_or_assign(key, std::move(value)).second;
-    (void)inserted;
+    index_.insert_or_assign(key, std::string{data.substr(pos + 12, len)});
     pos += 12 + len;
     appended_bytes_ += 12 + len;
   }

@@ -9,8 +9,15 @@
 
 #include <unistd.h>
 
+#include <bit>
+#include <cfloat>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
+#include <limits>
+#include <random>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -126,6 +133,184 @@ TEST(TrialRecord, DuplicatedFieldCannotMaskAMissingOne) {
   EXPECT_THROW((void)parse_trial_record(dup_for_missing), std::invalid_argument);
   // A plain 18-token duplicate fails too.
   EXPECT_THROW((void)parse_trial_record(line + " seed=1"), std::invalid_argument);
+}
+
+/// Replaces the value of `key` in a serialized record.
+std::string with_value(const std::string& line, std::string_view key, std::string_view value) {
+  const std::string needle = std::string{key} + "=";
+  auto at = line.find(needle);
+  while (at != std::string::npos && at != 0 && line[at - 1] != ' ') at = line.find(needle, at + 1);
+  EXPECT_NE(at, std::string::npos) << key;
+  const auto begin = at + needle.size();
+  const auto end = line.find(' ', begin);
+  return line.substr(0, begin) + std::string{value} +
+         (end == std::string::npos ? "" : line.substr(end));
+}
+
+TEST(TrialRecord, EdgeValuesRoundTripBitExactly) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<double> doubles = {
+      -0.0,    0.0,     5e-324,  -5e-324, DBL_MIN, DBL_MAX, -DBL_MAX, 1e-300,
+      1e300,   0.1,     1.0 / 3, 0.30000000000000004, 1.2345678901234567e+89,
+      9007199254740993.0, 123456789012345678.0, 2.2250738585072009e-308, kInf, -kInf};
+  const std::vector<std::int64_t> ints = {std::numeric_limits<std::int64_t>::min(),
+                                          std::numeric_limits<std::int64_t>::max(), -1, 0, 1};
+  const std::vector<std::uint64_t> seeds = {0, 1, std::numeric_limits<std::uint64_t>::max()};
+  for (std::size_t i = 0; i < doubles.size(); ++i) {
+    core::TrialResult r;
+    r.stopped_by_denm = i % 2 == 0;
+    r.timed_out = i % 3 == 0;
+    const auto ns = [&](std::size_t k) { return sim::SimTime::nanoseconds(ints[(i + k) % ints.size()]); };
+    r.t_cross_actual = ns(0);
+    r.t_detection = ns(1);
+    r.t_rsu_send = ns(2);
+    r.t_obu_receive = ns(3);
+    r.t_power_cut = ns(4);
+    r.t_halt = ns(5);
+    double* fields[] = {&r.meas_detection_to_rsu_ms, &r.meas_rsu_to_obu_ms,
+                        &r.meas_obu_to_actuator_ms,  &r.meas_total_ms,
+                        &r.braking_distance_m,       &r.stop_distance_to_camera_m,
+                        &r.detection_distance_m,     &r.speed_at_detection_mps};
+    for (std::size_t f = 0; f < std::size(fields); ++f) *fields[f] = doubles[(i + f) % doubles.size()];
+    const std::uint64_t seed = seeds[i % seeds.size()];
+    const std::string line = serialize_trial_record(seed, r);
+    const TrialRecord back = parse_trial_record(line);
+    EXPECT_EQ(back.seed, seed);
+    EXPECT_EQ(back.result.stopped_by_denm, r.stopped_by_denm);
+    EXPECT_EQ(back.result.timed_out, r.timed_out);
+    EXPECT_EQ(back.result.t_cross_actual, r.t_cross_actual);
+    EXPECT_EQ(back.result.t_halt, r.t_halt);
+    const double got[] = {back.result.meas_detection_to_rsu_ms, back.result.meas_rsu_to_obu_ms,
+                          back.result.meas_obu_to_actuator_ms,  back.result.meas_total_ms,
+                          back.result.braking_distance_m,       back.result.stop_distance_to_camera_m,
+                          back.result.detection_distance_m,     back.result.speed_at_detection_mps};
+    for (std::size_t f = 0; f < std::size(fields); ++f) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[f]), std::bit_cast<std::uint64_t>(*fields[f]))
+          << line;
+    }
+    EXPECT_EQ(serialize_trial_record(back.seed, back.result), line);
+  }
+}
+
+TEST(TrialRecord, RandomBitPatternsRoundTrip) {
+  // Every finite double the serializer can meet, sampled by raw bits
+  // (subnormals and every exponent included), must parse back bit-exactly.
+  std::mt19937_64 rng{20231};
+  core::TrialResult r;
+  for (int i = 0; i < 4000; ++i) {
+    double* fields[] = {&r.meas_detection_to_rsu_ms, &r.meas_rsu_to_obu_ms,
+                        &r.meas_obu_to_actuator_ms,  &r.meas_total_ms,
+                        &r.braking_distance_m,       &r.stop_distance_to_camera_m,
+                        &r.detection_distance_m,     &r.speed_at_detection_mps};
+    for (double* f : fields) {
+      double v = 0;
+      do {
+        v = std::bit_cast<double>(rng());
+      } while (!std::isfinite(v));
+      // Half of the draws are ordinary measurement magnitudes.
+      *f = i % 2 == 0 ? v : std::ldexp(static_cast<double>(rng() >> 11), -53) * 100.0;
+    }
+    const std::string line = serialize_trial_record(rng(), r);
+    const TrialRecord back = parse_trial_record(line);
+    ASSERT_EQ(serialize_trial_record(back.seed, back.result), line);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(back.result.meas_total_ms),
+              std::bit_cast<std::uint64_t>(r.meas_total_ms));
+  }
+}
+
+TEST(TrialRecord, RejectsSpellingsTheSerializerNeverWrites) {
+  // strtod/strtoll accepted several of these (a leading '+', hex floats,
+  // leading whitespace, out-of-range clamping, strtoull's wrap of "-1");
+  // only a corrupted store can hold them, so the parser refuses them all.
+  core::TrialResult r;
+  r.t_detection = sim::SimTime::nanoseconds(13612044980);
+  r.meas_total_ms = 40.580674999999999;
+  const std::string line = serialize_trial_record(7, r);
+  ASSERT_NO_THROW((void)parse_trial_record(line));
+  const std::vector<std::pair<std::string_view, std::string_view>> bad = {
+      {"t_det_ns", "+13612044980"},  {"t_det_ns", "0x10"},   {"t_det_ns", "1e"},
+      {"t_det_ns", "\t13612044980"}, {"t_det_ns", "013612044980"}, {"t_det_ns", "-0"},
+      {"t_det_ns", "99999999999999999999"}, {"t_det_ns", "1.5"}, {"t_det_ns", ""},
+      {"seed", "-1"},            {"seed", "+7"},           {"seed", "07"},
+      {"seed", "18446744073709551616"},   {"stopped", "2"},  {"stopped", "-1"},
+      {"stopped", "00"},         {"total_ms", "+40.580674999999999"},
+      {"total_ms", "0x10"},      {"total_ms", "1e"},       {"total_ms", "1e999"},
+      {"total_ms", "40.58"},     {"total_ms", "40.580674999999999e0"},
+      {"total_ms", "4.0580674999999999e1"}, {"total_ms", " 40.580674999999999"},
+      {"total_ms", "INF"},       {"total_ms", "nan(1)"},   {"total_ms", "40.5806749999999990"},
+      {"total_ms", ".5"},        {"total_ms", "-0.0"},     {"total_ms", ""}};
+  for (const auto& [key, value] : bad) {
+    const std::string mutated = with_value(line, key, value);
+    EXPECT_THROW((void)parse_trial_record(mutated), std::invalid_argument) << mutated;
+  }
+  // Token layout: one space between fields, none around the record, the
+  // serializer's field order.
+  EXPECT_THROW((void)parse_trial_record(" " + line), std::invalid_argument);
+  EXPECT_THROW((void)parse_trial_record(line + " "), std::invalid_argument);
+  EXPECT_THROW((void)parse_trial_record(with_value(line, "stopped", "0 ")), std::invalid_argument);
+  EXPECT_THROW((void)parse_trial_record(""), std::invalid_argument);
+  const auto first_space = line.find(' ');
+  const auto second_space = line.find(' ', first_space + 1);
+  const std::string swapped = line.substr(first_space + 1, second_space - first_space - 1) + " " +
+                              line.substr(0, first_space) + line.substr(second_space);
+  EXPECT_THROW((void)parse_trial_record(swapped), std::invalid_argument);
+}
+
+TEST(TrialRecord, MutatedRecordsFailLoudOrReserializeToThemselves) {
+  // A seeded corpus of corrupted store entries: bit flips, truncations,
+  // byte insertions and deletions of real records, plus random token soup.
+  // Each must either throw std::invalid_argument or decode into a record
+  // that serializes back to exactly the mutated bytes.
+  std::mt19937_64 rng{17};
+  std::vector<std::string> records;
+  for (int i = 0; i < 8; ++i) {
+    core::TrialResult r;
+    r.stopped_by_denm = i % 3 != 0;
+    r.timed_out = i % 3 == 0;
+    r.t_cross_actual = sim::SimTime::nanoseconds(13'000'000'000 + 977LL * i);
+    r.t_detection = sim::SimTime::nanoseconds(13'612'044'980 + 31LL * i);
+    r.t_halt = sim::SimTime::nanoseconds(-5 * i);
+    r.meas_detection_to_rsu_ms = 27.6 + 0.013 * i;
+    r.meas_rsu_to_obu_ms = i == 0 ? 0.5 : 1.6 / i;
+    r.meas_total_ms = 40.580674999999999 + i;
+    r.braking_distance_m = 0.056521836067378928 * i;
+    r.detection_distance_m = i == 5 ? std::numeric_limits<double>::quiet_NaN() : 1.49783050298794;
+    r.speed_at_detection_mps = i == 6 ? 5e-324 : 0.45107080754431228;
+    records.push_back(serialize_trial_record(static_cast<std::uint64_t>(i) * 0x9e3779b97f4a7c15ULL, r));
+  }
+  const std::string alphabet = "0123456789.-+e= xabnfistopd_";
+  std::size_t accepted = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 20000; ++round) {
+    std::string m = records[rng() % records.size()];
+    switch (rng() % 5) {
+      case 0: {  // flip one to three bits
+        for (int k = 0, flips = 1 + static_cast<int>(rng() % 3); k < flips; ++k) {
+          m[rng() % m.size()] ^= static_cast<char>(1u << (rng() % 8));
+        }
+        break;
+      }
+      case 1: m.resize(rng() % m.size()); break;  // truncated
+      case 2: m.insert(m.begin() + static_cast<long>(rng() % (m.size() + 1)), alphabet[rng() % alphabet.size()]); break;
+      case 3: m.erase(m.begin() + static_cast<long>(rng() % m.size())); break;
+      default: {  // random text over the record alphabet
+        m.assign(rng() % 400, ' ');
+        for (char& c : m) c = alphabet[rng() % alphabet.size()];
+        break;
+      }
+    }
+    try {
+      const TrialRecord back = parse_trial_record(m);
+      ++accepted;
+      ASSERT_EQ(serialize_trial_record(back.seed, back.result), m) << "accepted a non-canonical record";
+    } catch (const std::invalid_argument&) {
+      ++rejected;
+    }
+  }
+  // The corpus exercises both outcomes: a flipped low digit is often still
+  // canonical, almost everything else is refused.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_GT(rejected, accepted);
 }
 
 // --- ResultStore -----------------------------------------------------------
@@ -256,6 +441,109 @@ TEST(ResultStore, RejectsForeignFile) {
     std::fclose(f);
   }
   EXPECT_THROW(ResultStore{path}, std::runtime_error);
+  std::remove(path.c_str());
+}
+
+std::uintmax_t file_size(const std::string& path) { return std::filesystem::file_size(path); }
+
+TEST(ResultStore, EmptyFileReopensEmptyAndAcceptsPuts) {
+  const std::string path = scratch_path("empty");
+  std::fclose(std::fopen(path.c_str(), "wb"));
+  {
+    ResultStore store{path};
+    EXPECT_EQ(store.count(), 0u);
+    EXPECT_EQ(file_size(path), 0u);
+    store.put(5, "five");
+  }
+  ResultStore reopened{path};
+  EXPECT_EQ(reopened.count(), 1u);
+  EXPECT_EQ(*reopened.get(5), "five");
+  std::remove(path.c_str());
+}
+
+TEST(ResultStore, HeaderOnlySegmentReopensEmpty) {
+  const std::string path = scratch_path("header_only");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(ResultStore::kMagic, 1, sizeof ResultStore::kMagic, f);
+    std::fclose(f);
+  }
+  {
+    ResultStore store{path};
+    EXPECT_EQ(store.count(), 0u);
+    EXPECT_EQ(store.appended_bytes(), 0u);
+  }
+  EXPECT_EQ(file_size(path), sizeof ResultStore::kMagic);
+  std::remove(path.c_str());
+}
+
+TEST(ResultStore, TornTailIsCutAtTheLastWholeRecord) {
+  const std::string path = scratch_path("torn_cut");
+  {
+    ResultStore store{path};
+    store.put(1, "one");
+    store.put(2, "two");
+    store.put(3, "a third, longer record");
+  }
+  const auto whole_two = sizeof ResultStore::kMagic + 2 * (12 + 3);
+  // Cut inside the third record's length header, then inside its value.
+  for (const auto cut : {whole_two + 5, file_size(path) - 1}) {
+    {
+      ResultStore store{path};
+      if (store.count() == 2u) store.put(3, "a third, longer record");
+    }
+    ASSERT_EQ(::truncate(path.c_str(), static_cast<off_t>(cut)), 0);
+    ResultStore reopened{path};
+    EXPECT_EQ(reopened.count(), 2u);
+    EXPECT_EQ(*reopened.get(2), "two");
+    EXPECT_EQ(reopened.get(3), nullptr);
+    EXPECT_EQ(file_size(path), whole_two);
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ResultStore, SegmentOverOneMegabyteRoundTrips) {
+  const std::string path = scratch_path("large");
+  std::vector<std::string> values;
+  for (int i = 0; i < 300; ++i) {
+    std::string v(3000 + 37 * (i % 50), '\0');
+    for (std::size_t k = 0; k < v.size(); ++k) v[k] = static_cast<char>((k * 131 + i) & 0xff);
+    values.push_back(std::move(v));
+  }
+  {
+    ResultStore store{path};
+    for (std::size_t i = 0; i < values.size(); ++i) store.put(i, values[i]);
+    store.put(7, values[8]);  // one superseded record in the segment
+  }
+  ASSERT_GT(file_size(path), 1u << 20);
+  const auto size = file_size(path);
+  ResultStore reopened{path};
+  EXPECT_EQ(file_size(path), size);  // nothing was torn
+  ASSERT_EQ(reopened.count(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    EXPECT_EQ(*reopened.get(i), i == 7 ? values[8] : values[i]) << i;
+  }
+  EXPECT_EQ(reopened.appended_bytes() + sizeof ResultStore::kMagic, size);
+  std::remove(path.c_str());
+}
+
+TEST(ResultStore, BadMagicThrowsAndLeavesTheFile) {
+  const std::string path = scratch_path("bad_magic");
+  {
+    ResultStore store{path};
+    store.put(1, "one");
+  }
+  {
+    std::FILE* f = std::fopen(path.c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    std::fseek(f, 7, SEEK_SET);
+    std::fputc('9', f);  // RSTSTOR1 -> RSTSTOR9: a future or foreign format
+    std::fclose(f);
+  }
+  const auto size = file_size(path);
+  EXPECT_THROW(ResultStore{path}, std::runtime_error);
+  EXPECT_EQ(file_size(path), size);
   std::remove(path.c_str());
 }
 

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "rst/its/dcc/channel_probe.hpp"
 #include "rst/its/dcc/adaptive_dcc.hpp"
@@ -10,6 +11,14 @@ namespace rst::its::dcc {
 namespace {
 
 using namespace rst::sim::literals;
+
+/// "<prefix><id>", built in place: g++ 12 reports a false -Wrestrict on
+/// the inlined `"r" + std::to_string(id)` temporary.
+std::string tagged(char prefix, std::uint64_t id) {
+  std::string name(1, prefix);
+  name += std::to_string(id);
+  return name;
+}
 
 struct Rig {
   sim::Scheduler sched;
@@ -28,7 +37,7 @@ struct Rig {
     const auto i = radios.size();
     radios.push_back(std::make_unique<dot11p::Radio>(
         *medium, dot11p::RadioConfig{}, [pos] { return pos; },
-        rng.child("r" + std::to_string(i)), "r" + std::to_string(i)));
+        rng.child(tagged('r', i)), tagged('r', i)));
     return *radios.back();
   }
 };

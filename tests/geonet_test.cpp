@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "rst/its/network/btp.hpp"
 #include "rst/its/network/geonet.hpp"
@@ -9,6 +10,14 @@ namespace rst::its {
 namespace {
 
 using namespace rst::sim::literals;
+
+/// "<prefix><id>", built in place: g++ 12 reports a false -Wrestrict on
+/// the inlined `"r" + std::to_string(id)` temporary.
+std::string tagged(char prefix, std::uint64_t id) {
+  std::string name(1, prefix);
+  name += std::to_string(id);
+  return name;
+}
 
 struct Node {
   std::unique_ptr<dot11p::Radio> radio;
@@ -33,11 +42,11 @@ struct Rig {
   Node& add_node(std::uint32_t id, geo::Vec2 pos, dot11p::RadioConfig radio_config = {}) {
     auto node = std::make_unique<Node>();
     node->radio = std::make_unique<dot11p::Radio>(
-        *medium, radio_config, [pos] { return pos; }, rng.child("r" + std::to_string(id)),
-        "r" + std::to_string(id));
+        *medium, radio_config, [pos] { return pos; }, rng.child(tagged('r', id)),
+        tagged('r', id));
     node->router = std::make_unique<GeoNetRouter>(
         sched, *node->radio, frame, GnAddress::from_station(id),
-        [pos] { return EgoState{pos, 0.0, 0.0}; }, gn_config_, rng.child("g" + std::to_string(id)));
+        [pos] { return EgoState{pos, 0.0, 0.0}; }, gn_config_, rng.child(tagged('g', id)));
     Node* raw = node.get();
     node->router->set_delivery_handler(
         [raw](const std::vector<std::uint8_t>& pdu, const GnDeliveryMeta& meta) {

@@ -3,59 +3,22 @@
 // record, per-receiver interference accumulators — is allocation-free
 // once the pools and bins have reached their high-water capacity.
 //
-// Like scheduler_alloc_test, this overrides the global operator
-// new/delete and therefore lives in its own binary.
+// Like scheduler_alloc_test, it links the counting allocator and so lives
+// in its own binary.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <vector>
 
 #include "rst/dot11p/medium.hpp"
 #include "rst/dot11p/radio.hpp"
 
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-std::atomic<bool> g_counting{false};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#include "counting_allocator.hpp"
 
 namespace rst::dot11p {
 namespace {
 
-class CountScope {
- public:
-  CountScope() {
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-  }
-  ~CountScope() { g_counting.store(false, std::memory_order_relaxed); }
-  [[nodiscard]] std::size_t count() const {
-    return g_allocations.load(std::memory_order_relaxed);
-  }
-};
+using test_support::CountScope;
 
 TEST(MediumAlloc, SpatialTransmitPathIsAllocationFreeInSteadyState) {
   sim::Scheduler sched;

@@ -5,59 +5,22 @@
 //   - schedule_at reuses pooled handle-state nodes instead of hitting
 //     the global heap per event.
 //
-// This test overrides the global operator new/delete, which is why it
-// lives in its own binary (each rst_test is a separate executable).
+// It links the counting allocator (counting_allocator.cpp), which replaces
+// the global operator new/delete, so it lives in its own binary.
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
 #include <vector>
 
 #include "rst/sim/scheduler.hpp"
 
-namespace {
-
-std::atomic<std::size_t> g_allocations{0};
-std::atomic<bool> g_counting{false};
-
-}  // namespace
-
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* p = std::malloc(size)) return p;
-  throw std::bad_alloc{};
-}
-
-void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  return std::malloc(size);
-}
-
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+#include "counting_allocator.hpp"
 
 namespace {
 
 using rst::sim::Scheduler;
 using rst::sim::SimTime;
 
-class CountScope {
- public:
-  CountScope() {
-    g_allocations.store(0, std::memory_order_relaxed);
-    g_counting.store(true, std::memory_order_relaxed);
-  }
-  ~CountScope() { g_counting.store(false, std::memory_order_relaxed); }
-  [[nodiscard]] std::size_t count() const {
-    return g_allocations.load(std::memory_order_relaxed);
-  }
-};
+using rst::test_support::CountScope;
 
 TEST(SchedulerAlloc, FireAndForgetSteadyStateIsAllocationFree) {
   Scheduler sched;
